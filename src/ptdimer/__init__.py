@@ -38,11 +38,8 @@ from .observables import (
     NoSpontaneousFieldError,
     ObservableCurve,
     PhotonNumbers,
-    QuadratureError,
     VacuumMoments,
     asymptotic_shares,
-    cross_correlation_vacuum,
-    g2_vacuum,
     noon_photon_numbers,
     noon_two_point,
     q_noon,
@@ -50,7 +47,6 @@ from .observables import (
     renormalize,
     sample_curve,
     single_photon_numbers,
-    spontaneous_generation,
     vacuum_moments,
 )
 from .verification import VerificationReport, run_verification
@@ -83,11 +79,8 @@ __all__ = [
     "NoSpontaneousFieldError",
     "ObservableCurve",
     "PhotonNumbers",
-    "QuadratureError",
     "VacuumMoments",
     "asymptotic_shares",
-    "cross_correlation_vacuum",
-    "g2_vacuum",
     "noon_photon_numbers",
     "noon_two_point",
     "q_noon",
@@ -95,7 +88,6 @@ __all__ = [
     "renormalize",
     "sample_curve",
     "single_photon_numbers",
-    "spontaneous_generation",
     "vacuum_moments",
     "VerificationReport",
     "run_verification",

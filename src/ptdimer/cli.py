@@ -9,8 +9,8 @@ Three subcommands:
 Sweeps write a single CSV with one row per propagation distance: a leading
 '#' metadata line (kind, gamma, beta, nr, g, observable), a header row, then
 17-significant-digit values separated by commas.  Identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 runtime failure (quadrature
-or I/O), 2 usage error.
+byte-identical files.  Exit codes: 0 success, 1 runtime failure (moments
+beyond the range or the precision of floating point, or I/O), 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .observables import (
     CURVE_COLUMNS,
     ZERO_UNDEFINED,
     ObservableCurve,
-    QuadratureError,
     sample_curve,
 )
 from .verification import run_verification
@@ -278,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OverflowError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,8 +92,8 @@ def propagator_entries(
 ) -> tuple[complex, complex, complex, complex]:
     """Entries (u11, u12, u21, u22) of exp(i H zeta) as plain scalars.
 
-    Scalar arithmetic only; this is the hot path inside the observable
-    quadratures.  ``omega`` may be passed to skip recomputing dispersion(n).
+    Scalar arithmetic only.  ``omega`` may be passed to skip recomputing
+    dispersion(n).
     """
     if omega is None:
         omega = dispersion(n)

@@ -11,8 +11,8 @@ with drift M = [[n1/g, 1], [1, n2/g]] and a diagonal pump D feeding
 media inject photons, lossy ones only absorb.
 
 This module deliberately knows nothing about the closed-form transfer matrix
-or the quadrature-based observables; a plain fixed-step fourth-order
-Runge-Kutta scheme does all the work.  The test suite and the `verify`
+or the observables built on it; a plain fixed-step fourth-order Runge-Kutta
+scheme does all the work.  The test suite and the `verify`
 command compare the two routes against each other.
 """
 

@@ -1,12 +1,13 @@
 """Vacuum, single-photon and two-photon observables of active dimers.
 
-Everything here reduces to integrals of transfer-matrix elements against the
-exponential envelope exp(2 beta t):
+Everything here is built from the envelope-weighted transfer matrix
+V(t) = e^{beta t} U(t) = exp(t A), with A = i H + beta I, and from the
+spontaneous moments it generates out of the vacuum,
 
-    spontaneous numbers     n_j = sum_k w_k Int_0^zeta |U_jk(t)|^2 e^{2 beta t} dt
-    vacuum cross moment     n12 = sum_k w_k Int_0^zeta U_1k*(t) U_2k(t) e^{2 beta t} dt
+    N(zeta) = Int_0^zeta V*(t) W V(t)^T dt,        W = diag(w1, w2),
 
-with per-kind pump weights w_k fed by the amplifying guides only:
+so that n1 = N11, n2 = N22 and the cross moment n12 = N12 = <a1^dag a2>.
+The per-kind pump weights w_k are fed by the amplifying guides only:
 
     gain-loss      (-2 gamma, 0)                  (beta = 0, gamma < 0)
     gain-gain      (2 (beta - gamma), 2 (beta + gamma))
@@ -14,18 +15,33 @@ with per-kind pump weights w_k fed by the amplifying guides only:
     passive-loss   (0, 0)
     loss-loss      (0, 0)
 
-Single-photon and two-photon inputs add stimulated terms built from the
-transfer matrix at the end point.  The integrands are entire functions of t,
-so an adaptive Gauss-Kronrod rule converges fast; scipy's quad_vec evaluates
-all needed components in one pass.
+Single-photon and two-photon inputs add stimulated terms built from V at the
+end point.  With the row-major vec and K = conj(A) (x) I + I (x) A, one
+block-matrix exponential holds them all (C. F. Van Loan, "Computing integrals
+involving the matrix exponential", IEEE TAC 23(3), 1978):
+
+    expm(zeta [[K, vec W], [0, 0]]) = [[conj(V) (x) V, vec N], [0, 1]],
+
+where entry [2a + b, 2c + d] of conj(V) (x) V is conj(V_ac) V_bd.
+scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009)
+treats each matrix of a stack on its own, so a whole distance grid is one call
+and every grid point equals the same point evaluated alone, bit for bit.  The
+formula holds in every regime, the degeneracy included (it needs no
+eigenvectors), and is built from H and the pump weights only, never from the
+moment equation of ``moments``.
 
 Absolute photon numbers in amplifying devices grow without bound in this
 linear model.  Functions returning them reject evaluation once the predicted
-integrand magnitude exceeds ``max_magnitude`` (default 1e12), beyond which
-raw numbers are physically meaningless (a real device saturates first).
-Scale-invariant ratios (renormalized shares and the correlation parameters
-q00 / q2002) remain well defined, so those paths evaluate unguarded; pass
-``max_magnitude=None`` to lift the guard explicitly elsewhere.
+magnitude exceeds ``max_magnitude`` (default 1e12), beyond which raw numbers
+are physically meaningless (a real device saturates first).  Scale-invariant
+ratios (renormalized shares and the correlation parameters q00 / q2002)
+remain well defined, so those paths evaluate unguarded; pass
+``max_magnitude=None`` to lift the guard explicitly elsewhere.  Past about
+2 (beta + |Im Omega|) zeta = 690 the moments leave the floating-point range
+and every function here raises OverflowError.  Near the degeneracy the
+exponential loses accuracy with distance (at |gamma| = 1 a relative 1e-9 at
+zeta = 100 and 1e-6 at 300); where the moments then break non-negativity or
+the Cauchy-Schwarz bound, FloatingPointError is raised.
 """
 
 from __future__ import annotations
@@ -34,25 +50,28 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from .configurations import Kind
-from .core import EffectiveParams, propagator_entries
-
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-11
-QUAD_MAX_PANELS = 2**16
+from .core import EffectiveParams, hamiltonian
 
 GROWTH_GUARD_MAX = 1e12
+
+# Moments beyond this count as overflow, so that the few-term sums built from
+# them (photon numbers, the two-photon moment) stay finite.
+_MOMENT_CEILING = 2.0**1000
+
+# Ratio denominators below this sit too close to the subnormal range to keep
+# their precision, so the ratio counts as undefined.
+_RATIO_FLOOR = 2.0**-1000
+
+# Round-off allowed below zero in a photon number before it is rejected.
+_NEGATIVE_SLACK = 1e-12
 
 # Slack allowed when validating the Cauchy-Schwarz bound |n12|^2 <= n1 n2;
 # the relative part matters once the moments grow large.
 _CS_ABS_SLACK = 1e-9
 _CS_REL_SLACK = 1e-12
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within the panel budget."""
 
 
 class GrowthGuardError(RuntimeError):
@@ -67,6 +86,19 @@ class DecayedFieldError(ValueError):
     """Statistics undefined because the mean field has fully decayed."""
 
 
+def _invalid_numbers(values):
+    """Where photon numbers are not finite or lie below zero beyond round-off."""
+    return ~(np.isfinite(values) & (values >= -_NEGATIVE_SLACK))
+
+
+@np.errstate(all="ignore")
+def _breaks_cauchy_schwarz(n1, n2, n12):
+    """Where |n12|^2 exceeds n1 n2 beyond round-off."""
+    cross = np.abs(n12) ** 2
+    bound = n1 * n2
+    return cross > bound + _CS_ABS_SLACK + _CS_REL_SLACK * np.maximum(cross, bound)
+
+
 @dataclass(frozen=True)
 class PhotonNumbers:
     """Mean photon numbers in the two guides."""
@@ -76,13 +108,10 @@ class PhotonNumbers:
 
     def __post_init__(self) -> None:
         for name in ("n1", "n2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < -1e-12:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
-            if value < 0.0:
-                object.__setattr__(self, name, 0.0)
+            value = float(getattr(self, name))
+            if _invalid_numbers(value):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            object.__setattr__(self, name, max(value, 0.0))
 
 
 @dataclass(frozen=True)
@@ -94,20 +123,18 @@ class VacuumMoments:
     n12: complex
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < -1e-12:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-            if value < 0.0:
-                object.__setattr__(self, name, 0.0)
-        if not (math.isfinite(self.n12.real) and math.isfinite(self.n12.imag)):
-            raise ValueError(f"n12 must be finite, got {self.n12!r}")
-        cross = abs(self.n12) ** 2
-        bound = self.n1 * self.n2
-        if cross > bound + _CS_ABS_SLACK + _CS_REL_SLACK * max(cross, bound):
+        numbers = PhotonNumbers(self.n1, self.n2)
+        n12 = complex(self.n12)
+        if not (math.isfinite(n12.real) and math.isfinite(n12.imag)):
+            raise ValueError(f"n12 must be finite, got {n12!r}")
+        if _breaks_cauchy_schwarz(numbers.n1, numbers.n2, n12):
             raise ValueError(
-                f"moments violate the Cauchy-Schwarz bound: |n12|^2={cross!r} > n1*n2={bound!r}"
+                "moments violate the Cauchy-Schwarz bound: "
+                f"|n12|^2={abs(n12) ** 2!r} > n1*n2={numbers.n1 * numbers.n2!r}"
             )
+        object.__setattr__(self, "n1", numbers.n1)
+        object.__setattr__(self, "n2", numbers.n2)
+        object.__setattr__(self, "n12", n12)
 
 
 def vacuum_pump_weights(params: EffectiveParams, kind: Kind) -> tuple[float, float]:
@@ -135,28 +162,142 @@ def vacuum_pump_weights(params: EffectiveParams, kind: Kind) -> tuple[float, flo
     return weights
 
 
-def _growth_exponent(params: EffectiveParams, zeta: float) -> float:
-    """Log of the predicted peak integrand magnitude e^{2 (|Im Omega| + beta) zeta}."""
+def _growth_exponent(params: EffectiveParams, zeta):
+    """Log of the predicted peak magnitude e^{2 (|Im Omega| + beta) zeta}."""
     rate = abs(params.omega.imag) + params.beta
     return 2.0 * max(0.0, rate) * zeta
 
 
-def _check_growth(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> None:
-    if max_magnitude is None:
-        return
-    exponent = _growth_exponent(params, zeta)
-    if exponent > math.log(max_magnitude):
-        raise GrowthGuardError(
-            f"predicted magnitude e^{exponent:.1f} exceeds the guard {max_magnitude:g}; "
-            "raw photon numbers are saturation-dominated here"
+def _growth_note(exponent: float, max_magnitude: float) -> str:
+    return (
+        f"predicted magnitude e^{exponent:.1f} exceeds the guard {max_magnitude:g}; "
+        "raw photon numbers are saturation-dominated here"
+    )
+
+
+@dataclass(frozen=True)
+class MomentBundle:
+    """Every moment of one device on a distance grid, one entry per point.
+
+    ``n1``, ``n2``, ``n12`` are the spontaneous moments and ``transfer[i]`` is
+    conj(V) (x) V at ``zetas[i]``, with V = e^{beta zeta} U.
+    """
+
+    zetas: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    n12: np.ndarray
+    transfer: np.ndarray
+
+
+def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> MomentBundle:
+    """All moments on a distance grid from one stacked block exponential.
+
+    Raises OverflowError naming the first distance where they leave the float
+    range, and FloatingPointError where they break a bound they must satisfy.
+    """
+    zetas = np.asarray(zetas, dtype=float)
+    w1, w2 = vacuum_pump_weights(params, kind)
+    a = 1j * hamiltonian(params.n) + params.beta * np.eye(2)
+    generator = np.zeros((5, 5), dtype=complex)
+    generator[:4, :4] = np.kron(a.conj(), np.eye(2)) + np.kron(np.eye(2), a)
+    generator[:4, 4] = (w1, 0.0, 0.0, w2)
+    with np.errstate(all="ignore"):
+        blocks = expm(zetas[:, None, None] * generator)[:, :4, :]
+        in_range = np.all(np.abs(blocks) <= _MOMENT_CEILING, axis=(1, 2))
+    if not in_range.all():
+        zeta = float(zetas[np.argmin(in_range)])
+        raise OverflowError(
+            f"moments leave the floating-point range at zeta={zeta!r} "
+            f"(growth e^{_growth_exponent(params, zeta):.0f})"
         )
+    n12 = blocks[:, 1, 4]
+    n1, n2 = _checked_numbers(zetas, blocks[:, 0, 4].real, blocks[:, 3, 4].real, n12)
+    return MomentBundle(zetas, n1, n2, n12, blocks[:, :, :4])
 
 
-def _check_zeta(zeta: float) -> float:
+def _checked_numbers(zetas, n1, n2, n12=0.0):
+    """Photon numbers with round-off negatives set to zero.
+
+    Points that break non-negativity or Cauchy-Schwarz raise FloatingPointError.
+    """
+    bad = _invalid_numbers(n1) | _invalid_numbers(n2) | _breaks_cauchy_schwarz(n1, n2, n12)
+    if bad.any():
+        zeta = float(zetas[np.argmax(bad)])
+        raise FloatingPointError(
+            f"moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound: "
+            "the matrix exponential lost accuracy there"
+        )
+    return np.maximum(n1, 0.0), np.maximum(n2, 0.0)
+
+
+def _photon_numbers(
+    bundle: MomentBundle, ports: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean photon numbers for one photon launched into each of ``ports``.
+
+    Ports count from 0.  The stimulated numbers e^{2 beta zeta} |U_jp|^2 ride
+    on the spontaneous background; no ports gives the vacuum numbers alone.
+    """
+    n1, n2 = bundle.n1, bundle.n2
+    for port in ports:
+        n1 = n1 + bundle.transfer[:, 0, 3 * port].real
+        n2 = n2 + bundle.transfer[:, 3, 3 * port].real
+    return _checked_numbers(bundle.zetas, n1, n2)
+
+
+@np.errstate(all="ignore")
+def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
+    """Coincidence moment <a1^dag a2^dag a2 a1> for the N00N input.
+
+    Interference of the two stimulated paths, |V11 V21 + V12 V22|^2, plus the
+    spontaneous background and the mixed stimulated-spontaneous terms.
+    """
+    t = bundle.transfer
+    n1, n2, n12 = bundle.n1, bundle.n2, bundle.n12
+    pair = (t[:, 0, :] * t[:, 3, :]).sum(axis=1).real
+    row1 = (t[:, 0, 0] + t[:, 0, 3]).real
+    row2 = (t[:, 3, 0] + t[:, 3, 3]).real
+    interference = t[:, 2, 0] + t[:, 2, 3]
+    spontaneous = n1 * n2 + np.abs(n12) ** 2
+    return pair + spontaneous + (n1 * row2 + n2 * row1) + 2.0 * (n12 * interference).real
+
+
+@np.errstate(all="ignore")
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator, NaN unless the denominator is finite and not tiny."""
+    ratio = numerator / denominator
+    defined = np.isfinite(denominator) & (denominator >= _RATIO_FLOOR) & np.isfinite(ratio)
+    return np.where(defined, ratio, math.nan)
+
+
+def _shares(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    share1 = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
+    return share1, 1.0 - share1
+
+
+@np.errstate(all="ignore")
+def _q_vacuum(bundle: MomentBundle) -> np.ndarray:
+    return _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
+
+
+@np.errstate(all="ignore")
+def _q_noon(bundle: MomentBundle) -> np.ndarray:
+    n1, n2 = _photon_numbers(bundle, (0, 1))
+    return _ratio(_noon_two_point(bundle), n1 * n2) - 1.0
+
+
+def _at_point(
+    params: EffectiveParams, kind: Kind, zeta: float, max_magnitude: float | None
+) -> MomentBundle:
+    """The bundle of a one-point grid, after the growth guard."""
     zeta = float(zeta)
     if not math.isfinite(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be finite and non-negative, got {zeta!r}")
-    return zeta
+    exponent = _growth_exponent(params, zeta)
+    if max_magnitude is not None and exponent > math.log(max_magnitude):
+        raise GrowthGuardError(_growth_note(exponent, max_magnitude))
+    return moment_bundle(params, kind, np.array([zeta]))
 
 
 def vacuum_moments(
@@ -166,59 +307,9 @@ def vacuum_moments(
     *,
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> VacuumMoments:
-    """All spontaneous second moments at distance zeta in one quadrature pass."""
-    zeta = _check_zeta(zeta)
-    w1, w2 = vacuum_pump_weights(params, kind)
-    if zeta == 0.0 or (w1 == 0.0 and w2 == 0.0):
-        return VacuumMoments(0.0, 0.0, 0.0j)
-    _check_growth(params, zeta, max_magnitude)
-
-    n, omega, two_beta = params.n, params.omega, 2.0 * params.beta
-
-    def integrand(t: float) -> np.ndarray:
-        u11, u12, u21, u22 = propagator_entries(n, t, omega)
-        env = math.exp(two_beta * t)
-        f1 = w1 * (u11.real**2 + u11.imag**2) + w2 * (u12.real**2 + u12.imag**2)
-        f2 = w1 * (u21.real**2 + u21.imag**2) + w2 * (u22.real**2 + u22.imag**2)
-        cross = w1 * u11.conjugate() * u21 + w2 * u12.conjugate() * u22
-        return np.array([f1 * env, f2 * env, cross.real * env, cross.imag * env])
-
-    values, _, info = quad_vec(
-        integrand,
-        0.0,
-        zeta,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=QUAD_MAX_PANELS,
-        full_output=True,
-    )
-    if not info.success:
-        raise QuadratureError(
-            f"spontaneous-moment quadrature did not converge at zeta={zeta!r}: {info.message}"
-        )
-    return VacuumMoments(float(values[0]), float(values[1]), complex(values[2], values[3]))
-
-
-def spontaneous_generation(
-    params: EffectiveParams,
-    kind: Kind,
-    zeta: float,
-    *,
-    max_magnitude: float | None = GROWTH_GUARD_MAX,
-) -> VacuumMoments:
-    """Mean spontaneously generated photon numbers (vacuum input)."""
-    return vacuum_moments(params, kind, zeta, max_magnitude=max_magnitude)
-
-
-def cross_correlation_vacuum(
-    params: EffectiveParams,
-    kind: Kind,
-    zeta: float,
-    *,
-    max_magnitude: float | None = GROWTH_GUARD_MAX,
-) -> complex:
-    """Inter-guide moment <a1^dag a2> generated from vacuum."""
-    return vacuum_moments(params, kind, zeta, max_magnitude=max_magnitude).n12
+    """Spontaneous second moments generated from vacuum at distance zeta."""
+    bundle = _at_point(params, kind, zeta, max_magnitude)
+    return VacuumMoments(float(bundle.n1[0]), float(bundle.n2[0]), complex(bundle.n12[0]))
 
 
 def q_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
@@ -230,38 +321,12 @@ def q_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    zeta = _check_zeta(zeta)
-    w1, w2 = vacuum_pump_weights(params, kind)
-    if (w1 == 0.0 and w2 == 0.0) or zeta == 0.0:
+    q = float(_q_vacuum(_at_point(params, kind, zeta, None))[0])
+    if math.isnan(q):
         raise NoSpontaneousFieldError(
             f"q undefined for kind={kind.value} at zeta={zeta!r}: no spontaneous field"
         )
-    vm = vacuum_moments(params, kind, zeta, max_magnitude=None)
-    denom = vm.n1 * vm.n2
-    if not math.isfinite(denom) or denom <= 0.0:
-        raise NoSpontaneousFieldError(
-            f"q undefined at zeta={zeta!r}: vanishing spontaneous product"
-        )
-    return abs(vm.n12) ** 2 / denom
-
-
-def g2_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
-    """Second-order two-point correlation g2 = 1 + q of the spontaneous field."""
-    return 1.0 + q_vacuum(params, kind, zeta)
-
-
-def _stimulated_pair(
-    params: EffectiveParams, zeta: float, port: int
-) -> tuple[float, float]:
-    if port not in (1, 2):
-        raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    u11, u12, u21, u22 = propagator_entries(params.n, zeta, params.omega)
-    env = math.exp(2.0 * params.beta * zeta)
-    top, bottom = (u11, u21) if port == 1 else (u12, u22)
-    return (
-        env * (top.real**2 + top.imag**2),
-        env * (bottom.real**2 + bottom.imag**2),
-    )
+    return q
 
 
 def single_photon_numbers(
@@ -277,13 +342,10 @@ def single_photon_numbers(
     Stimulated transfer e^{2 beta zeta} |U_j,port|^2 plus the spontaneous
     background; passive kinds keep the stimulated term only.
     """
-    zeta = _check_zeta(zeta)
-    if zeta == 0.0:
-        return PhotonNumbers(1.0, 0.0) if port == 1 else PhotonNumbers(0.0, 1.0)
-    _check_growth(params, zeta, max_magnitude)
-    stim1, stim2 = _stimulated_pair(params, zeta, port)
-    vm = vacuum_moments(params, kind, zeta, max_magnitude=max_magnitude)
-    return PhotonNumbers(stim1 + vm.n1, stim2 + vm.n2)
+    if port not in (1, 2):
+        raise ValueError(f"input port must be 1 or 2, got {port!r}")
+    n1, n2 = _photon_numbers(_at_point(params, kind, zeta, max_magnitude), (port - 1,))
+    return PhotonNumbers(float(n1[0]), float(n2[0]))
 
 
 def noon_photon_numbers(
@@ -294,14 +356,8 @@ def noon_photon_numbers(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
     """Mean photon numbers for the two-photon input (|20> + |02>)/sqrt(2)."""
-    zeta = _check_zeta(zeta)
-    if zeta == 0.0:
-        return PhotonNumbers(1.0, 1.0)
-    _check_growth(params, zeta, max_magnitude)
-    s1a, s2a = _stimulated_pair(params, zeta, 1)
-    s1b, s2b = _stimulated_pair(params, zeta, 2)
-    vm = vacuum_moments(params, kind, zeta, max_magnitude=max_magnitude)
-    return PhotonNumbers(s1a + s1b + vm.n1, s2a + s2b + vm.n2)
+    n1, n2 = _photon_numbers(_at_point(params, kind, zeta, max_magnitude), (0, 1))
+    return PhotonNumbers(float(n1[0]), float(n2[0]))
 
 
 def noon_two_point(
@@ -316,26 +372,7 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    zeta = _check_zeta(zeta)
-    if zeta == 0.0:
-        return 0.0
-    _check_growth(params, zeta, max_magnitude)
-    u11, u12, u21, u22 = propagator_entries(params.n, zeta, params.omega)
-    env2 = math.exp(2.0 * params.beta * zeta)
-    env4 = env2 * env2
-    vm = vacuum_moments(params, kind, zeta, max_magnitude=max_magnitude)
-
-    pair = u11 * u21 + u12 * u22
-    row1 = u11.real**2 + u11.imag**2 + u12.real**2 + u12.imag**2
-    row2 = u21.real**2 + u21.imag**2 + u22.real**2 + u22.imag**2
-    interf = u21.conjugate() * u11 + u22.conjugate() * u12
-    return (
-        env4 * (pair.real**2 + pair.imag**2)
-        + vm.n1 * vm.n2
-        + abs(vm.n12) ** 2
-        + env2 * (vm.n1 * row2 + vm.n2 * row1)
-        + 2.0 * env2 * (vm.n12 * interf).real
-    )
+    return float(_noon_two_point(_at_point(params, kind, zeta, max_magnitude))[0])
 
 
 def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
@@ -345,23 +382,21 @@ def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
     zero for passive kinds, and crossing into bunching once the spontaneous
     background dominates in amplifying kinds.  A ratio of moments; unguarded.
     """
-    zeta = _check_zeta(zeta)
-    numbers = noon_photon_numbers(params, kind, zeta, max_magnitude=None)
-    denom = numbers.n1 * numbers.n2
-    if not math.isfinite(denom) or denom <= 0.0:
+    q = float(_q_noon(_at_point(params, kind, zeta, None))[0])
+    if math.isnan(q):
         raise DecayedFieldError(
             f"N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
         )
-    return noon_two_point(params, kind, zeta, max_magnitude=None) / denom - 1.0
+    return q
 
 
 def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
     """Relative photon shares (n1, n2) / (n1 + n2), summing to one exactly."""
-    total = numbers.n1 + numbers.n2
-    if not math.isfinite(total) or total <= 0.0:
+    share1, share2 = _shares(np.asarray(numbers.n1), np.asarray(numbers.n2))
+    if math.isnan(share1):
+        total = numbers.n1 + numbers.n2
         raise ValueError(f"renormalization undefined for total photon number {total!r}")
-    share1 = min(max(numbers.n1 / total, 0.0), 1.0)
-    return share1, 1.0 - share1
+    return float(share1), float(share2)
 
 
 def asymptotic_shares(gamma: float) -> tuple[float, float]:
@@ -398,8 +433,19 @@ CURVE_COLUMNS: dict[str, tuple[str, ...]] = {
     "all": ("n1", "n2", "share1", "share2", "n12_re", "n12_im", "q00", "q2002"),
 }
 
+# Input ports (from 0) behind the n1 / n2 / share columns of each observable:
+# none for the vacuum, guide 1 for one photon, both guides for N00N.
+_INPUT_PORTS = dict(spont=(), q00=(), all=(), single=(0,), noon_n=(0, 1), q2002=(0, 1))
+
 # Observables whose value at zeta = 0 is a 0/0 (spontaneous shares, q00).
 ZERO_UNDEFINED = ("spont", "q00", "all")
+
+# Why a ratio column is NaN at a point (raw columns are NaN past the guard).
+_GAP_REASONS = {
+    "share1": "renormalization undefined at zeta={zeta!r}: no photons",
+    "q00": "q00 undefined at zeta={zeta!r}: no spontaneous field",
+    "q2002": "N00N statistics undefined at zeta={zeta!r}: mean field fully decayed",
+}
 
 
 @dataclass
@@ -424,75 +470,19 @@ class ObservableCurve:
         return np.array([v[name] for v in self.values])
 
 
-def _guarded(value: float, ok: bool) -> float:
-    return value if ok else math.nan
-
-
-def _eval_point(
-    params: EffectiveParams,
-    kind: Kind,
-    zeta: float,
-    observable: str,
-    max_magnitude: float | None,
-) -> tuple[dict[str, float], list[str]]:
-    notes: list[str] = []
-    raw_ok = True
-    try:
-        _check_growth(params, zeta, max_magnitude)
-    except GrowthGuardError as exc:
-        raw_ok = False
-        notes.append(str(exc))
-
-    rec: dict[str, float] = {}
-
-    def shares_of(n1: float, n2: float) -> tuple[float, float]:
-        try:
-            return renormalize(PhotonNumbers(n1, n2))
-        except ValueError as exc:
-            notes.append(str(exc))
-            return math.nan, math.nan
-
-    if observable in ("spont", "q00", "all"):
-        vm = vacuum_moments(params, kind, zeta, max_magnitude=None)
-        if observable in ("spont", "all"):
-            rec["n1"] = _guarded(vm.n1, raw_ok)
-            rec["n2"] = _guarded(vm.n2, raw_ok)
-            rec["share1"], rec["share2"] = shares_of(vm.n1, vm.n2)
-        else:
-            rec["n1"] = _guarded(vm.n1, raw_ok)
-            rec["n2"] = _guarded(vm.n2, raw_ok)
-        if observable in ("q00", "all"):
-            rec["n12_re"] = _guarded(vm.n12.real, raw_ok)
-            rec["n12_im"] = _guarded(vm.n12.imag, raw_ok)
-            denom = vm.n1 * vm.n2
-            if denom > 0.0 and math.isfinite(denom):
-                rec["q00"] = abs(vm.n12) ** 2 / denom
-            else:
-                notes.append(f"q00 undefined at zeta={zeta!r}: no spontaneous field")
-                rec["q00"] = math.nan
-    elif observable == "single":
-        stim1, stim2 = _stimulated_pair(params, zeta, 1)
-        vm = vacuum_moments(params, kind, zeta, max_magnitude=None)
-        n1, n2 = stim1 + vm.n1, stim2 + vm.n2
-        rec["n1"] = _guarded(n1, raw_ok)
-        rec["n2"] = _guarded(n2, raw_ok)
-        rec["share1"], rec["share2"] = shares_of(n1, n2)
-    elif observable == "noon_n":
-        numbers = noon_photon_numbers(params, kind, zeta, max_magnitude=None)
-        rec["n1"] = _guarded(numbers.n1, raw_ok)
-        rec["n2"] = _guarded(numbers.n2, raw_ok)
-        rec["share1"], rec["share2"] = shares_of(numbers.n1, numbers.n2)
-    if observable in ("q2002", "all"):
-        numbers = noon_photon_numbers(params, kind, zeta, max_magnitude=None)
-        if observable == "q2002":
-            rec["n1"] = _guarded(numbers.n1, raw_ok)
-            rec["n2"] = _guarded(numbers.n2, raw_ok)
-        try:
-            rec["q2002"] = q_noon(params, kind, zeta)
-        except DecayedFieldError as exc:
-            notes.append(str(exc))
-            rec["q2002"] = math.nan
-    return rec, notes
+def _curve_columns(
+    bundle: MomentBundle, observable: str, raw_ok: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Every CSV column of ``observable``; raw columns are NaN where not ``raw_ok``."""
+    names = CURVE_COLUMNS[observable]
+    n1, n2 = _photon_numbers(bundle, _INPUT_PORTS[observable])
+    raw = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
+    columns = {name: np.where(raw_ok, values, math.nan) for name, values in raw.items()}
+    columns["share1"], columns["share2"] = _shares(n1, n2)
+    columns["q00"] = _q_vacuum(bundle)
+    if "q2002" in names:  # the only column that needs the N00N numbers
+        columns["q2002"] = _q_noon(bundle)
+    return {name: columns[name] for name in names}
 
 
 def sample_curve(
@@ -505,9 +495,11 @@ def sample_curve(
 ) -> ObservableCurve:
     """Sample one observable over a strictly increasing distance grid.
 
-    Every grid point is evaluated independently of the others (the result
-    does not depend on evaluation order), and per-point failures turn into
-    NaN entries flagged in ``gaps`` instead of aborting the sweep.
+    Every grid point is evaluated independently of the others (a point's
+    values equal those of the same point sampled alone, bit for bit), and
+    undefined or guarded values turn into NaN entries flagged in ``gaps``
+    instead of aborting the sweep.  Raises OverflowError or FloatingPointError
+    where the moments leave the range or the precision of floating point.
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(
@@ -521,11 +513,18 @@ def sample_curve(
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("zeta grid must be strictly increasing")
 
-    values: list[dict[str, float]] = []
-    gaps: list[tuple[int, str]] = []
-    for index, z in enumerate(grid):
-        rec, notes = _eval_point(params, kind, float(z), observable, max_magnitude)
-        values.append(rec)
-        for note in notes:
-            gaps.append((index, note))
+    exponents = _growth_exponent(params, grid)
+    raw_ok = exponents <= (math.inf if max_magnitude is None else math.log(max_magnitude))
+    columns = _curve_columns(moment_bundle(params, kind, grid), observable, raw_ok)
+
+    guarded = np.flatnonzero(~raw_ok)
+    gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in guarded]
+    for name, reason in _GAP_REASONS.items():
+        if name in columns:
+            for i in np.flatnonzero(np.isnan(columns[name])):
+                gaps.append((int(i), reason.format(zeta=float(grid[i]))))
+    gaps.sort(key=lambda gap: gap[0])
+    names = tuple(columns)
+    rows = zip(*(columns[name].tolist() for name in names))
+    values = [dict(zip(names, row)) for row in rows]
     return ObservableCurve(observable=observable, zetas=grid, values=values, gaps=gaps)

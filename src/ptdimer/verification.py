@@ -1,13 +1,15 @@
 """Cross-checks between the closed-form observables and the brute-force route.
 
 Two fully independent implementations of the same physics live in this
-package: the closed-form transfer matrix with adaptive quadrature for the
-moment integrals (`core` / `observables`), and direct fixed-step integration
-of the second-moment equation of motion (`moments`).  This module drives both
-over a grid of device kinds, inversion strengths and distances, and reports
-the worst disagreement.  It also exercises the structural identities the
-transfer matrix must satisfy on its own (determinant, composition, the
-degenerate limit, agreement with the generic matrix exponential).
+package: the moment integrals in closed form, as one block-matrix exponential
+built from the coupling matrix H and the pump weights (C. F. Van Loan, IEEE
+TAC 23(3), 1978; `core` / `observables`), and direct fixed-step integration
+of the second-moment equation of motion from its drift and pump (`moments`).
+This module drives both over a grid of device kinds, inversion strengths and
+distances, and reports the worst disagreement.  It also exercises the
+structural identities the transfer matrix must satisfy on its own
+(determinant, composition, the degenerate limit, agreement with the generic
+matrix exponential).
 
 Growing and decaying solutions are compared after dividing out the common
 envelope exp(2 beta zeta), so the reported absolute deviations stay
@@ -299,7 +301,7 @@ def run_verification(
 ) -> VerificationReport:
     """Run every cross-check and return the collected report.
 
-    ``tolerance`` limits the absolute disagreement between the quadrature
+    ``tolerance`` limits the absolute disagreement between the closed-form
     route and the fixed-step moment integration, measured after dividing out
     the envelope exp(2 beta zeta).  Structural identities of the transfer
     matrix use their own limits.

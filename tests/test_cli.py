@@ -1,6 +1,7 @@
 """Tests for the command-line front end: sweeps, figures, verification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,19 +187,37 @@ def test_verify_exit_code_on_failure(monkeypatch):
 
 
 def test_verify_detects_corrupted_propagator(monkeypatch):
-    # flip the coupling sign in the quadrature route only: the moment oracle
+    # flip the coupling sign in the closed-form route only: the moment oracle
     # must notice and name a failing case
     import ptdimer.core
 
-    true_entries = ptdimer.core.propagator_entries
+    def skewed(n):
+        return ptdimer.core.hamiltonian(n) * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-    def skewed(n, zeta, omega=None):
-        u11, u12, u21, u22 = true_entries(n, zeta, omega)
-        return u11, -u12, -u21, u22
-
-    monkeypatch.setattr(ptdimer.observables, "propagator_entries", skewed)
+    monkeypatch.setattr(ptdimer.observables, "hamiltonian", skewed)
     report = ptdimer.verification.run_verification(
         1e-7, gamma_magnitudes=(0.5,), zetas=(0.5, 1.0)
     )
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        # growth e^709 by zeta 40: beyond the floating-point range
+        ["--kind", "gain-gain", "--gamma", "3", "--observable", "spont"],
+        # next to the degeneracy the exponential loses accuracy with distance
+        ["--kind", "gain-passive", "--gamma", "-1", "--observable", "q00"],
+    ],
+)
+def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys, sweep):
+    argv = ["sweep", *sweep, "--zeta-max", "300", "--out", str(tmp_path / "far.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warnings either
+        code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zeta=" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "far.csv").exists()

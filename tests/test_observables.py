@@ -23,8 +23,6 @@ from ptdimer.observables import (
     PhotonNumbers,
     VacuumMoments,
     asymptotic_shares,
-    cross_correlation_vacuum,
-    g2_vacuum,
     noon_photon_numbers,
     noon_two_point,
     q_noon,
@@ -32,7 +30,6 @@ from ptdimer.observables import (
     renormalize,
     sample_curve,
     single_photon_numbers,
-    spontaneous_generation,
     vacuum_moments,
     vacuum_pump_weights,
 )
@@ -113,14 +110,6 @@ def test_passive_loss_single_photon_matches_oracle():
     assert np.isclose(numbers.n2, PASSIVE_LOSS_ONE_Z2[1], rtol=ORACLE_RTOL)
 
 
-def test_spontaneous_generation_is_vacuum_moments():
-    p = params_for(Kind.GAIN_LOSS, -0.5)
-    a = spontaneous_generation(p, Kind.GAIN_LOSS, 1.7)
-    b = vacuum_moments(p, Kind.GAIN_LOSS, 1.7)
-    assert a == b
-    assert cross_correlation_vacuum(p, Kind.GAIN_LOSS, 1.7) == b.n12
-
-
 def test_passive_kinds_generate_nothing():
     for kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
         vm = vacuum_moments(params_for(kind, -0.8), kind, 4.0)
@@ -197,7 +186,6 @@ def test_q_vacuum_in_unit_interval():
         for zeta in (0.2, 1.0, 3.0, 8.0):
             q = q_vacuum(p, kind, zeta)
             assert -1e-12 <= q <= 1.0 + 1e-9
-            assert g2_vacuum(p, kind, zeta) == 1.0 + q
 
 
 def test_q_vacuum_undefined_for_passive_or_zero():
@@ -211,6 +199,16 @@ def test_q_noon_crosses_into_bunching_for_gain_loss():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     assert q_noon(p, Kind.GAIN_LOSS, 0.05) < 0.0
     assert q_noon(p, Kind.GAIN_LOSS, 3.0) > 0.0
+
+
+def test_q_noon_stays_defined_or_gapped_deep_in_decay():
+    # from zeta ~ 200 on the loss-loss moments sink into the subnormal range,
+    # where a ratio of them would carry no precision
+    p = params_for(Kind.LOSS_LOSS, -0.9)
+    curve = sample_curve(p, Kind.LOSS_LOSS, "q2002", np.linspace(0.05, 1000.0, 300))
+    q = curve.column("q2002")
+    assert np.all(q[~np.isnan(q)] >= -1.0 - 1e-12)
+    assert np.isnan(q[-1]) and any("decayed" in note for _, note in curve.gaps)
 
 
 def test_q_noon_stays_nonpositive_for_passive_kinds():
@@ -303,6 +301,22 @@ def test_sample_curve_passive_spont_is_all_gaps():
     curve = sample_curve(p, Kind.LOSS_LOSS, "spont", np.array([1.0, 2.0]))
     assert all(math.isnan(v["share1"]) for v in curve.values)
     assert len(curve.gaps) == 2
+
+
+@pytest.mark.parametrize("observable", ["spont", "q00", "q2002"])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_sample_curve_point_equals_point_alone(kind, observable):
+    # the promise of sample_curve: a grid point does not depend on the rest
+    # of the grid, down to the last bit
+    gamma = 1.2 if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS) else -1.2
+    p = params_for(kind, gamma)
+    grid = np.linspace(0.05, 10.0, 37)
+    curve = sample_curve(p, kind, observable, grid, max_magnitude=None)
+    for index in (0, 11, 36):
+        alone = sample_curve(p, kind, observable, grid[index : index + 1], max_magnitude=None)
+        for name in curve.columns:
+            on_grid = np.float64(curve.values[index][name])
+            assert on_grid.tobytes() == np.float64(alone.values[0][name]).tobytes()
 
 
 def test_sample_curve_rejects_bad_grid():
