@@ -1,8 +1,7 @@
 """Vacuum, single-photon and two-photon observables of active dimers.
 
 Everything here is built from the envelope-weighted transfer matrix
-V(t) = e^{beta t} U(t) = exp(t A), with A = i H + beta I, and from the
-spontaneous moments it generates out of the vacuum,
+V(t) = e^{beta t} U(t) and the spontaneous moments it generates from vacuum,
 
     N(zeta) = Int_0^zeta V*(t) W V(t)^T dt,        W = diag(w1, w2),
 
@@ -15,33 +14,28 @@ The per-kind pump weights w_k are fed by the amplifying guides only:
     passive-loss   (0, 0)
     loss-loss      (0, 0)
 
-Single-photon and two-photon inputs add stimulated terms built from V at the
-end point.  With the row-major vec and K = conj(A) (x) I + I (x) A, one
-block-matrix exponential holds them all (C. F. Van Loan, "Computing integrals
-involving the matrix exponential", IEEE TAC 23(3), 1978):
+Single-photon and two-photon inputs add stimulated terms from conj(V) (x) V at
+the end point, whose entry [2a + b, 2c + d] is conj(V_ac) V_bd.  As
+H^2 = Omega^2 I, V = e^{beta t} (c I + i s H), where x = (c, s) solves x' = B x,
+x(0) = (1, 0), with the companion matrix B = [[0, -Omega^2], [1, 0]].  So N and
+conj(V) (x) V are linear in y = vec(conj(x) x^T), and one block exponential
+gives y and Y = Int_0^zeta e^{2 beta t} y dt (C. F. Van Loan, IEEE TAC 23(3),
+1978): with L = conj(B) (x) I + I (x) B + 2 beta I,
 
-    expm(zeta [[K, vec W], [0, 0]]) = [[conj(V) (x) V, vec N], [0, 1]],
+    expm(zeta [[L, e1], [0, 0]]) = [[e^{zeta L}, Y], [0, 1]],   e^{zeta L} e1 = e^{2 beta zeta} y.
 
-where entry [2a + b, 2c + d] of conj(V) (x) V is conj(V_ac) V_bd.
-scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009)
-treats each matrix of a stack on its own, so a whole distance grid is one call
-and every grid point equals the same point evaluated alone, bit for bit.  The
-formula holds in every regime, the degeneracy included (it needs no
-eigenvectors), and is built from H and the pump weights only, never from the
-moment equation of ``moments``.
+Unlike H, which is defective at the degeneracy 1 + n^2 = 0, B stays well
+conditioned there, so the moments keep their accuracy next to it.  Each matrix
+of the stack handed to scipy.linalg.expm is treated on its own, so a grid point
+equals the same point evaluated alone, bit for bit.  The route uses H and the
+pump weights only, never the moment equation of ``moments``.
 
-Absolute photon numbers in amplifying devices grow without bound in this
-linear model.  Functions returning them reject evaluation once the predicted
-magnitude exceeds ``max_magnitude`` (default 1e12), beyond which raw numbers
-are physically meaningless (a real device saturates first).  Scale-invariant
-ratios (renormalized shares and the correlation parameters q00 / q2002)
-remain well defined, so those paths evaluate unguarded; pass
-``max_magnitude=None`` to lift the guard explicitly elsewhere.  Past about
-2 (beta + |Im Omega|) zeta = 690 the moments leave the floating-point range
-and every function here raises OverflowError.  Near the degeneracy the
-exponential loses accuracy with distance (at |gamma| = 1 a relative 1e-9 at
-zeta = 100 and 1e-6 at 300); where the moments then break non-negativity or
-the Cauchy-Schwarz bound, FloatingPointError is raised.
+Raw photon numbers of amplifying devices grow without bound in this linear
+model; functions returning them raise GrowthGuardError once the predicted
+magnitude exceeds ``max_magnitude`` (default 1e12; a real device saturates
+first; None lifts the guard).  Shares, q00 and q2002 are ratios and stay
+unguarded.  Past about 2 (beta + |Im Omega|) zeta = 690 the moments leave the
+floating-point range and every function here raises OverflowError.
 """
 
 from __future__ import annotations
@@ -57,8 +51,8 @@ from .core import EffectiveParams, hamiltonian
 
 GROWTH_GUARD_MAX = 1e12
 
-# Moments beyond this count as overflow, so that the few-term sums built from
-# them (photon numbers, the two-photon moment) stay finite.
+# Block entries beyond this count as overflow, so that the few-term sums built
+# from them stay finite; products of moments are formed only after scaling.
 _MOMENT_CEILING = 2.0**1000
 
 # Ratio denominators below this sit too close to the subnormal range to keep
@@ -91,12 +85,21 @@ def _invalid_numbers(values):
     return ~(np.isfinite(values) & (values >= -_NEGATIVE_SLACK))
 
 
+def _scale_exponent(*magnitudes):
+    """Per point, the least e >= 0 with all magnitudes below 2**e (exact to divide by)."""
+    largest = np.maximum.reduce(np.broadcast_arrays(*magnitudes))
+    return np.maximum(np.frexp(largest)[1], 0)
+
+
 @np.errstate(all="ignore")
 def _breaks_cauchy_schwarz(n1, n2, n12):
-    """Where |n12|^2 exceeds n1 n2 beyond round-off."""
-    cross = np.abs(n12) ** 2
-    bound = n1 * n2
-    return cross > bound + _CS_ABS_SLACK + _CS_REL_SLACK * np.maximum(cross, bound)
+    """Where |n12|^2 exceeds n1 n2 beyond round-off, compared after exact scaling."""
+    exponent = _scale_exponent(n1, n2, np.abs(n12))
+    scale = np.ldexp(1.0, -exponent)
+    cross = (np.abs(n12) * scale) ** 2
+    bound = (n1 * scale) * (n2 * scale)
+    slack = np.ldexp(_CS_ABS_SLACK, -2 * exponent) + _CS_REL_SLACK * np.maximum(cross, bound)
+    return cross > bound + slack
 
 
 @dataclass(frozen=True)
@@ -177,11 +180,7 @@ def _growth_note(exponent: float, max_magnitude: float) -> str:
 
 @dataclass(frozen=True)
 class MomentBundle:
-    """Every moment of one device on a distance grid, one entry per point.
-
-    ``n1``, ``n2``, ``n12`` are the spontaneous moments and ``transfer[i]`` is
-    conj(V) (x) V at ``zetas[i]``, with V = e^{beta zeta} U.
-    """
+    """Moments on a distance grid: vacuum n1, n2, n12 and transfer = conj(V) (x) V, per point."""
 
     zetas: np.ndarray
     n1: np.ndarray
@@ -197,48 +196,48 @@ def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> Mom
     range, and FloatingPointError where they break a bound they must satisfy.
     """
     zetas = np.asarray(zetas, dtype=float)
-    w1, w2 = vacuum_pump_weights(params, kind)
-    a = 1j * hamiltonian(params.n) + params.beta * np.eye(2)
+    w = np.diag(vacuum_pump_weights(params, kind))
+    h = hamiltonian(params.n)
+    hc = h.conj()
+    eye = np.eye(2)
+    companion = np.array([[0.0, -(1.0 + params.n * params.n)], [1.0, 0.0]])
     generator = np.zeros((5, 5), dtype=complex)
-    generator[:4, :4] = np.kron(a.conj(), np.eye(2)) + np.kron(np.eye(2), a)
-    generator[:4, 4] = (w1, 0.0, 0.0, w2)
+    generator[:4, :4] = np.kron(companion.conj(), eye) + np.kron(eye, companion)
+    generator[:4, :4] += 2.0 * params.beta * np.eye(4)
+    generator[0, 4] = 1.0
+    # V* W V^T and conj(V) (x) V, term by term in (c* c, c* s, s* c, s* s)
+    moment_terms = (w, 1j * w @ h, -1j * hc @ w, hc @ w @ h)
+    transfer_terms = (np.eye(4), 1j * np.kron(eye, h), -1j * np.kron(hc, eye), np.kron(hc, h))
     with np.errstate(all="ignore"):
-        blocks = expm(zetas[:, None, None] * generator)[:, :4, :]
+        blocks = expm(zetas[:, None, None] * generator)
         in_range = np.all(np.abs(blocks) <= _MOMENT_CEILING, axis=(1, 2))
+        products, integrals = blocks[:, :4, 0, None, None], blocks[:, :4, 4, None, None]
+        transfer = sum(products[:, k] * term for k, term in enumerate(transfer_terms))
+        moments = sum(integrals[:, k] * term for k, term in enumerate(moment_terms))
     if not in_range.all():
         zeta = float(zetas[np.argmin(in_range)])
         raise OverflowError(
             f"moments leave the floating-point range at zeta={zeta!r} "
             f"(growth e^{_growth_exponent(params, zeta):.0f})"
         )
-    n12 = blocks[:, 1, 4]
-    n1, n2 = _checked_numbers(zetas, blocks[:, 0, 4].real, blocks[:, 3, 4].real, n12)
-    return MomentBundle(zetas, n1, n2, n12, blocks[:, :, :4])
+    n12 = moments[:, 0, 1]
+    n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
+    return MomentBundle(zetas, n1, n2, n12, transfer)
 
 
 def _checked_numbers(zetas, n1, n2, n12=0.0):
-    """Photon numbers with round-off negatives set to zero.
-
-    Points that break non-negativity or Cauchy-Schwarz raise FloatingPointError.
-    """
+    """Photon numbers, round-off negatives set to 0; FloatingPointError if a bound breaks."""
     bad = _invalid_numbers(n1) | _invalid_numbers(n2) | _breaks_cauchy_schwarz(n1, n2, n12)
     if bad.any():
         zeta = float(zetas[np.argmax(bad)])
         raise FloatingPointError(
-            f"moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound: "
-            "the matrix exponential lost accuracy there"
+            f"moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound"
         )
     return np.maximum(n1, 0.0), np.maximum(n2, 0.0)
 
 
-def _photon_numbers(
-    bundle: MomentBundle, ports: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean photon numbers for one photon launched into each of ``ports``.
-
-    Ports count from 0.  The stimulated numbers e^{2 beta zeta} |U_jp|^2 ride
-    on the spontaneous background; no ports gives the vacuum numbers alone.
-    """
+def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers for one photon launched into each of ``ports`` (from 0), plus vacuum."""
     n1, n2 = bundle.n1, bundle.n2
     for port in ports:
         n1 = n1 + bundle.transfer[:, 0, 3 * port].real
@@ -264,27 +263,12 @@ def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """numerator / denominator, NaN unless the denominator is finite and not tiny."""
+def _ratio(numerator: np.ndarray, denominator: np.ndarray, exponent=0) -> np.ndarray:
+    """Ratio of values scaled down by 2**exponent; NaN for a non-finite or tiny denominator."""
     ratio = numerator / denominator
-    defined = np.isfinite(denominator) & (denominator >= _RATIO_FLOOR) & np.isfinite(ratio)
+    floor = np.ldexp(_RATIO_FLOOR, -exponent)
+    defined = np.isfinite(denominator) & (denominator >= floor) & np.isfinite(ratio)
     return np.where(defined, ratio, math.nan)
-
-
-def _shares(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    share1 = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
-    return share1, 1.0 - share1
-
-
-@np.errstate(all="ignore")
-def _q_vacuum(bundle: MomentBundle) -> np.ndarray:
-    return _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
-
-
-@np.errstate(all="ignore")
-def _q_noon(bundle: MomentBundle) -> np.ndarray:
-    n1, n2 = _photon_numbers(bundle, (0, 1))
-    return _ratio(_noon_two_point(bundle), n1 * n2) - 1.0
 
 
 def _at_point(
@@ -321,7 +305,7 @@ def q_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    q = float(_q_vacuum(_at_point(params, kind, zeta, None))[0])
+    q = _curve_point(params, kind, "q00", zeta)
     if math.isnan(q):
         raise NoSpontaneousFieldError(
             f"q undefined for kind={kind.value} at zeta={zeta!r}: no spontaneous field"
@@ -382,7 +366,7 @@ def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
     zero for passive kinds, and crossing into bunching once the spontaneous
     background dominates in amplifying kinds.  A ratio of moments; unguarded.
     """
-    q = float(_q_noon(_at_point(params, kind, zeta, None))[0])
+    q = _curve_point(params, kind, "q2002", zeta)
     if math.isnan(q):
         raise DecayedFieldError(
             f"N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
@@ -392,11 +376,11 @@ def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
 
 def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
     """Relative photon shares (n1, n2) / (n1 + n2), summing to one exactly."""
-    share1, share2 = _shares(np.asarray(numbers.n1), np.asarray(numbers.n2))
-    if math.isnan(share1):
-        total = numbers.n1 + numbers.n2
+    total = numbers.n1 + numbers.n2
+    if not math.isfinite(total) or total <= 0.0:
         raise ValueError(f"renormalization undefined for total photon number {total!r}")
-    return float(share1), float(share2)
+    share1 = min(max(numbers.n1 / total, 0.0), 1.0)
+    return share1, 1.0 - share1
 
 
 def asymptotic_shares(gamma: float) -> tuple[float, float]:
@@ -478,11 +462,25 @@ def _curve_columns(
     n1, n2 = _photon_numbers(bundle, _INPUT_PORTS[observable])
     raw = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
     columns = {name: np.where(raw_ok, values, math.nan) for name, values in raw.items()}
-    columns["share1"], columns["share2"] = _shares(n1, n2)
-    columns["q00"] = _q_vacuum(bundle)
+    columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
+    columns["share2"] = 1.0 - columns["share1"]
+    # q00 and q2002 divide products of moments: scale each point below 1 first
+    t = bundle.transfer
+    exponent = _scale_exponent(bundle.n1, bundle.n2, np.abs(bundle.n12), np.abs(t).max(axis=(1, 2)))
+    scale = np.ldexp(1.0, -exponent)
+    n1, n2, n12 = bundle.n1 * scale, bundle.n2 * scale, bundle.n12 * scale
+    scaled = MomentBundle(bundle.zetas, n1, n2, n12, t * scale[:, None, None])
+    columns["q00"] = _ratio(np.abs(n12) ** 2, n1 * n2, 2 * exponent)
     if "q2002" in names:  # the only column that needs the N00N numbers
-        columns["q2002"] = _q_noon(bundle)
+        noon1, noon2 = _photon_numbers(scaled, (0, 1))
+        columns["q2002"] = _ratio(_noon_two_point(scaled), noon1 * noon2, 2 * exponent) - 1.0
     return {name: columns[name] for name in names}
+
+
+def _curve_point(params: EffectiveParams, kind: Kind, observable: str, zeta: float) -> float:
+    """The last column of ``observable`` at one distance, unguarded."""
+    curve = sample_curve(params, kind, observable, np.array([float(zeta)]), max_magnitude=None)
+    return curve.values[0][CURVE_COLUMNS[observable][-1]]
 
 
 def sample_curve(
@@ -498,8 +496,9 @@ def sample_curve(
     Every grid point is evaluated independently of the others (a point's
     values equal those of the same point sampled alone, bit for bit), and
     undefined or guarded values turn into NaN entries flagged in ``gaps``
-    instead of aborting the sweep.  Raises OverflowError or FloatingPointError
-    where the moments leave the range or the precision of floating point.
+    instead of aborting the sweep.  Raises OverflowError where the moments
+    leave the floating-point range, and FloatingPointError where they break a
+    bound they must satisfy.
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(

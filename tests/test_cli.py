@@ -202,17 +202,10 @@ def test_verify_detects_corrupted_propagator(monkeypatch):
     assert any("moment oracle" in check.name for check in report.failures)
 
 
-@pytest.mark.parametrize(
-    "sweep",
-    [
-        # growth e^709 by zeta 40: beyond the floating-point range
-        ["--kind", "gain-gain", "--gamma", "3", "--observable", "spont"],
-        # next to the degeneracy the exponential loses accuracy with distance
-        ["--kind", "gain-passive", "--gamma", "-1", "--observable", "q00"],
-    ],
-)
-def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys, sweep):
-    argv = ["sweep", *sweep, "--zeta-max", "300", "--out", str(tmp_path / "far.csv")]
+def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys):
+    # growth e^709 by zeta 40: beyond the floating-point range
+    argv = ["sweep", "--kind", "gain-gain", "--gamma", "3", "--observable", "spont"]
+    argv += ["--zeta-max", "300", "--out", str(tmp_path / "far.csv")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no floating-point warnings either
         code = main(argv)
@@ -221,3 +214,26 @@ def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys, s
     assert err.startswith("error: ") and "zeta=" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "far.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sweep, zeta_max",
+    [
+        # n1 n2 passes the float range near zeta 90, the moments only near 180
+        (["--kind", "gain-loss", "--gamma", "-2"], "150"),
+        # at the degeneracy, where the moments grow like zeta^3 e^{2 zeta}
+        (["--kind", "gain-passive", "--gamma", "-1"], "300"),
+    ],
+)
+def test_sweep_q00_stays_defined_while_moments_are_finite(tmp_path, capsys, sweep, zeta_max):
+    out = tmp_path / "q.csv"
+    argv = ["sweep", *sweep, "--observable", "q00", "--zeta-min", "0.05"]
+    argv += ["--zeta-max", zeta_max, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert "no spontaneous field" not in capsys.readouterr().err
+    q00 = read_csv(out)[2][:, -1]
+    assert np.all((q00 >= 0.0) & (q00 <= 1.0 + 1e-12))
+    # one mode dominates far out, so the vacuum fields become fully correlated
+    assert abs(q00[-1] - 1.0) < 1e-4

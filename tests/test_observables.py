@@ -384,6 +384,22 @@ def test_vacuum_moments_validation():
     assert vm.n1 == 0.0
 
 
+
+@pytest.mark.parametrize("zeta", [10.0, 300.0, 1000.0])
+def test_degenerate_gain_loss_moments_are_exact_polynomials(zeta):
+    # at gamma = -1, beta = 0: V = I + i H t with H nilpotent, so with w1 = 2
+    # the moments are polynomials in zeta; the generator must stay exact here
+    # although H is defective
+    p = params_for(Kind.GAIN_LOSS, -1.0)
+    vm = vacuum_moments(p, Kind.GAIN_LOSS, zeta, max_magnitude=None)
+    exact = (
+        2.0 * ((1.0 + zeta) ** 3 - 1.0) / 3.0,
+        2.0 * zeta**3 / 3.0,
+        2j * (zeta**2 / 2.0 + zeta**3 / 3.0),
+    )
+    for value, want in zip((vm.n1, vm.n2, vm.n12), exact):
+        assert abs(value - want) <= 1e-14 * abs(want)
+
 @given(st.floats(-1.15, 1.15).filter(lambda g: abs(g) > 0.05), st.floats(0.1, 6.0))
 @settings(max_examples=60, deadline=None)
 def test_vacuum_moments_satisfy_correlation_bound(gamma, zeta):
