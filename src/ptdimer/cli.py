@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,11 +90,21 @@ class RunSpec:
     out: str = "sweep.csv"
 
     def __post_init__(self) -> None:
+        # JSON config values arrive untyped: str(None), float(True) and
+        # int(20.7) would all pass silently
+        if self.out is None:
+            raise ValueError("out must be a path, got None")
         self.kind = str(self.kind)
         self.observable = str(self.observable)
         self.out = str(self.out)
-        for name in ("gamma", "nr", "g", "zeta_min", "zeta_max"):
-            setattr(self, name, float(getattr(self, name)))
+        for name in ("gamma", "nr", "g", "zeta_min", "zeta_max", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name != "steps":
+                setattr(self, name, float(value))
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         self.steps = int(self.steps)
 
 

@@ -87,23 +87,6 @@ def hamiltonian(n: complex) -> np.ndarray:
     return np.array([[n, 1.0], [1.0, -n]], dtype=complex)
 
 
-def propagator_entries(
-    n: complex, zeta: float, omega: complex | None = None
-) -> tuple[complex, complex, complex, complex]:
-    """Entries (u11, u12, u21, u22) of exp(i H zeta) as plain scalars.
-
-    Scalar arithmetic only.  ``omega`` may be passed to skip recomputing
-    dispersion(n).
-    """
-    if omega is None:
-        omega = dispersion(n)
-    x = omega * zeta
-    c = cmath.cos(x)
-    s = 1j * zeta * complex_sinc(x)
-    sn = s * n
-    return c + sn, s, s, c - sn
-
-
 def propagator(n: complex, zeta: float) -> np.ndarray:
     """Transfer matrix U(zeta) = cos(Omega zeta) I + i H zeta sinc(Omega zeta).
 
@@ -114,8 +97,10 @@ def propagator(n: complex, zeta: float) -> np.ndarray:
     _require_finite(n, "n")
     if not math.isfinite(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be finite and non-negative, got {zeta!r}")
-    u11, u12, u21, u22 = propagator_entries(n, zeta)
-    return np.array([[u11, u12], [u21, u22]], dtype=complex)
+    x = dispersion(n) * zeta
+    c = cmath.cos(x)
+    s = 1j * zeta * complex_sinc(x)
+    return np.array([[c + s * n, s], [s, c - s * n]], dtype=complex)
 
 
 @dataclass(frozen=True)

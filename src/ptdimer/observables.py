@@ -33,8 +33,9 @@ pump weights only, never the moment equation of ``moments``.
 Raw photon numbers of amplifying devices grow without bound in this linear
 model; functions returning them raise GrowthGuardError once the predicted
 magnitude exceeds ``max_magnitude`` (default 1e12; a real device saturates
-first; None lifts the guard).  Shares, q00 and q2002 are ratios and stay
-unguarded.  Past about 2 (beta + |Im Omega|) zeta = 690 the moments leave the
+first; None lifts the guard, and a value that is neither None nor positive
+raises ValueError).  Shares, q00 and q2002 are ratios and stay unguarded.
+Past about 2 (beta + |Im Omega|) zeta = 690 the moments leave the
 floating-point range and every function here raises OverflowError.
 """
 
@@ -236,13 +237,23 @@ def _checked_numbers(zetas, n1, n2, n12=0.0):
     return np.maximum(n1, 0.0), np.maximum(n2, 0.0)
 
 
+def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
+    """Moment matrices <a_i^dag a_j> per grid point, one photon launched into each of ``ports``.
+
+    The vacuum matrix [[n1, n12], [conj n12, n2]] plus, for each port p (from
+    0), conj(V_ip) V_jp: column 3 p of ``transfer`` taken as a 2x2 matrix.
+    """
+    n12 = bundle.n12
+    moments = np.moveaxis(np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]]), -1, 0)
+    for port in ports:
+        moments = moments + bundle.transfer[:, :, 3 * port].reshape(-1, 2, 2)
+    return moments
+
+
 def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers for one photon launched into each of ``ports`` (from 0), plus vacuum."""
-    n1, n2 = bundle.n1, bundle.n2
-    for port in ports:
-        n1 = n1 + bundle.transfer[:, 0, 3 * port].real
-        n2 = n2 + bundle.transfer[:, 3, 3 * port].real
-    return _checked_numbers(bundle.zetas, n1, n2)
+    moments = launch_moments(bundle, ports)
+    return _checked_numbers(bundle.zetas, moments[:, 0, 0].real, moments[:, 1, 1].real)
 
 
 @np.errstate(all="ignore")
@@ -271,6 +282,15 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray, exponent=0) -> np.nda
     return np.where(defined, ratio, math.nan)
 
 
+def _log_guard(max_magnitude: float | None) -> float:
+    """Log of the growth guard, inf when lifted; ValueError unless None or positive."""
+    if max_magnitude is None:
+        return math.inf
+    if not float(max_magnitude) > 0.0:
+        raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
+    return math.log(max_magnitude)
+
+
 def _at_point(
     params: EffectiveParams, kind: Kind, zeta: float, max_magnitude: float | None
 ) -> MomentBundle:
@@ -279,7 +299,7 @@ def _at_point(
     if not math.isfinite(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be finite and non-negative, got {zeta!r}")
     exponent = _growth_exponent(params, zeta)
-    if max_magnitude is not None and exponent > math.log(max_magnitude):
+    if exponent > _log_guard(max_magnitude):
         raise GrowthGuardError(_growth_note(exponent, max_magnitude))
     return moment_bundle(params, kind, np.array([zeta]))
 
@@ -513,7 +533,7 @@ def sample_curve(
         raise ValueError("zeta grid must be strictly increasing")
 
     exponents = _growth_exponent(params, grid)
-    raw_ok = exponents <= (math.inf if max_magnitude is None else math.log(max_magnitude))
+    raw_ok = exponents <= _log_guard(max_magnitude)
     columns = _curve_columns(moment_bundle(params, kind, grid), observable, raw_ok)
 
     guarded = np.flatnonzero(~raw_ok)

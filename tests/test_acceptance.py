@@ -133,7 +133,7 @@ def test_criterion_3_route_equivalence():
     # 5 kinds with reachable signs at 3 magnitudes gives 21 devices x 3 states
     ok = report.ok and len(oracle_checks) == 63 and elapsed < 30.0
     assert _line(
-        "criterion 3: quadrature route matches moment integrator on full grid",
+        "criterion 3: closed-form route matches moment integrator on full grid",
         ok,
         f"{len(oracle_checks)} device/state cells, worst dev {worst:.1e} "
         f"(envelope-compensated), {elapsed:.1f}s",

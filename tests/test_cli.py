@@ -1,5 +1,6 @@
 """Tests for the command-line front end: sweeps, figures, verification."""
 
+import dataclasses
 import json
 import warnings
 
@@ -122,6 +123,18 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [{"steps": 20.7}, {"gamma": True}, {"out": None}])
+def test_config_rejects_mistyped_values(tmp_path, monkeypatch, capsys, fields):
+    # each would otherwise be truncated or coerced (20 rows, gamma -1, a file "None")
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"steps": 5, "out": "never.csv", **fields}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(next(iter(fields.values()))) in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["typed.json"]
+
+
 def test_cmd_sweep_accepts_runspec_directly(tmp_path):
     run = RunSpec(
         kind="loss-loss",
@@ -200,6 +213,30 @@ def test_verify_detects_corrupted_propagator(monkeypatch):
     )
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)
+
+
+def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
+    # halve only the off-diagonal stimulated products conj(V_1p) V_2p and
+    # conj(V_2p) V_1p, which feed the N00N interference term of q2002; the
+    # photon numbers stay intact, so only full moment matrices can notice
+    moment_bundle = ptdimer.observables.moment_bundle
+
+    def halved(*args, **kwargs):
+        bundle = moment_bundle(*args, **kwargs)
+        transfer = bundle.transfer.copy()
+        transfer[:, 1:3, :] *= 0.5
+        return dataclasses.replace(bundle, transfer=transfer)
+
+    for module in (ptdimer.observables, ptdimer.verification):
+        monkeypatch.setattr(module, "moment_bundle", halved)
+    report = ptdimer.verification.run_verification(
+        1e-7, gamma_magnitudes=(0.5,), zetas=(0.5, 1.0)
+    )
+    assert not report.ok
+    assert any(
+        "moment oracle" in check.name or "two-photon mean numbers" in check.name
+        for check in report.failures
+    )
 
 
 def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys):

@@ -17,7 +17,6 @@ from ptdimer.core import (
     dispersion,
     hamiltonian,
     propagator,
-    propagator_entries,
 )
 
 IDENTITY_TOL = 1e-14
@@ -110,14 +109,6 @@ def test_propagator_broken_hyperbolic_form(gamma, zeta):
     assert np.isclose(u[0, 0], math.cosh(k * zeta) - gamma * s, rtol=1e-13)
     assert np.isclose(u[1, 1], math.cosh(k * zeta) + gamma * s, rtol=1e-13)
     assert np.isclose(u[0, 1], 1j * s, rtol=1e-13)
-
-
-def test_propagator_entries_match_matrix():
-    n, zeta = 0.7 - 1.1j, 1.9
-    u11, u12, u21, u22 = propagator_entries(n, zeta)
-    u = propagator(n, zeta)
-    assert u[0, 0] == u11 and u[0, 1] == u12
-    assert u[1, 0] == u21 and u[1, 1] == u22
 
 
 @pytest.mark.parametrize("zeta", [-0.1, math.nan, math.inf])

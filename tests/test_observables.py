@@ -265,6 +265,18 @@ def test_growth_guard_blocks_raw_numbers():
     assert numbers.n1 > GROWTH_GUARD_MAX
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_growth_guard_rejects_invalid_max_magnitude(bad):
+    # the single-point functions and sample_curve share one check
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    with pytest.raises(ValueError, match=f"max_magnitude .* got {bad!r}"):
+        vacuum_moments(p, Kind.GAIN_LOSS, 1.0, max_magnitude=bad)
+    with pytest.raises(ValueError, match=f"max_magnitude .* got {bad!r}"):
+        sample_curve(p, Kind.GAIN_LOSS, "spont", np.array([0.5, 1.0]), max_magnitude=bad)
+    # an infinite guard is a lifted guard
+    assert vacuum_moments(p, Kind.GAIN_LOSS, 1.0, max_magnitude=math.inf).n1 > 0.0
+
+
 def test_growth_guard_inactive_for_bounded_devices():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     numbers = single_photon_numbers(p, Kind.GAIN_LOSS, 50.0)
