@@ -38,6 +38,9 @@ from .verification import run_verification
 
 GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 DEFAULT_FIGURE_STEPS = 300
+# sample_curve holds every grid point at once (about 1.5 kB each), so a
+# mistyped --steps must fail before the grid is built, not exhaust memory
+MAX_STEPS = 100_000
 
 # Bundled figure presets: observable, device rows, and the distance window.
 # The spontaneous and vacuum-correlation presets start just above zero where
@@ -133,6 +136,13 @@ def write_curve_csv(
         handle.write("\n".join(lines) + "\n")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 2:
+        raise UsageError(f"steps must be at least 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
+
+
 def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
     try:
         kind = Kind(run.kind)
@@ -144,8 +154,7 @@ def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
         raise UsageError(
             f"unknown observable {run.observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
-    if run.steps < 2:
-        raise UsageError(f"steps must be at least 2, got {run.steps}")
+    _check_steps(run.steps)
     if not (math.isfinite(run.zeta_min) and run.zeta_min >= 0.0):
         raise UsageError(f"zeta-min must be finite and non-negative, got {run.zeta_min}")
     if not (math.isfinite(run.zeta_max) and run.zeta_max > run.zeta_min):
@@ -179,8 +188,7 @@ def cmd_sweep(run: RunSpec) -> int:
 def cmd_figure(figure_id: str, out_dir: Path, steps: int = DEFAULT_FIGURE_STEPS) -> int:
     if figure_id not in FIGURES:
         raise UsageError(f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}")
-    if steps < 2:
-        raise UsageError(f"steps must be at least 2, got {steps}")
+    _check_steps(steps)
     observable, kinds, zeta_min, zeta_max = FIGURES[figure_id]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -90,6 +90,28 @@ def test_sweep_rejects_bad_steps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--steps", "10000000", "--out", "big.csv"],
+        ["sweep", "--config", "big.json"],
+        ["figure", "fig2", "--steps", "10000000", "--out", "figs"],
+    ],
+)
+def test_steps_above_cap_rejected_before_the_grid(tmp_path, monkeypatch, capsys, argv):
+    # ten million points would hold about 15 GB of moment bundles
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid must not be built")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps({"steps": 10_000_000, "out": "big.csv"}))
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: steps must be at most 100000, got 10000000\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(

@@ -119,6 +119,45 @@ def test_path_matches_single_shot_bitwise():
         assert np.array_equal(state, single)
 
 
+def test_path_matches_single_shot_bitwise_off_the_step_grid():
+    # every mark needs a remainder step; each is still integrated from zero
+    dp = drift_and_pump(realization_for_gamma(Kind.GAIN_LOSS, -1.2))
+    initial = np.diag([1.0, 0.0]).astype(complex)
+    marks = (0.3337, 1.23456, 2.0)
+    path = integrate_moments_path(initial, dp, marks, step=4e-4)
+    for zeta, state in zip(marks, path):
+        single = integrate_moments(initial, dp, zeta, step=4e-4)
+        assert np.array_equal(state, single)
+
+
+def _rk4_loop(initial, dp, zeta, step):
+    """Reference: the classical four-stage RK4 loop on moment_ode_rhs."""
+    n = np.array(initial, dtype=complex)
+    count = int(math.floor(zeta / step + 1e-9))
+    rem = zeta - count * step
+    for h in [step] * count + ([rem] if rem > step * 1e-9 else []):
+        k1 = moment_ode_rhs(n, dp)
+        k2 = moment_ode_rhs(n + 0.5 * h * k1, dp)
+        k3 = moment_ode_rhs(n + 0.5 * h * k2, dp)
+        k4 = moment_ode_rhs(n + h * k3, dp)
+        n = n + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return n
+
+
+@pytest.mark.parametrize(
+    "kind, gamma",
+    [(Kind.GAIN_LOSS, -1.2), (Kind.LOSS_LOSS, 1.2), (Kind.GAIN_GAIN, 0.5)],
+)
+@pytest.mark.parametrize("zeta", [0.5, 0.50017])
+def test_matrix_power_matches_rk4_loop(kind, gamma, zeta):
+    # 1,250 steps of 4e-4; the second mark adds a remainder step
+    dp = drift_and_pump(realization_for_gamma(kind, gamma))
+    for initial in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        power = integrate_moments(initial, dp, zeta, step=4e-4)
+        loop = _rk4_loop(initial, dp, zeta, step=4e-4)
+        assert np.allclose(power, loop, rtol=1e-12, atol=0.0)
+
+
 def test_path_requires_increasing_marks():
     dp = lossless_coupler()
     with pytest.raises(ValueError):
@@ -131,7 +170,7 @@ def test_bad_step_rejected():
         integrate_moments(np.zeros((2, 2), complex), dp, 1.0, step=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runaway_amplification_overflows():
     dp = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 1.2))
     with pytest.raises(OverflowError):
