@@ -103,8 +103,8 @@ def _rk4_step_map(gen: np.ndarray, h: float) -> np.ndarray:
 
 def _validate_initial(initial: np.ndarray) -> np.ndarray:
     n0 = np.ascontiguousarray(initial, dtype=complex)
-    if n0.shape != (2, 2):
-        raise ValueError("initial moment matrix must be 2x2")
+    if n0.shape[-2:] != (2, 2) or n0.ndim not in (2, 3):
+        raise ValueError("initial moment matrix must be 2x2, or a stack of them")
     if not np.all(np.isfinite(n0.view(float))):
         raise ValueError("initial moment matrix must be finite")
     return n0
@@ -139,8 +139,11 @@ def integrate_moments_path(
 ) -> list[np.ndarray]:
     """Moment matrices at several increasing distances.
 
+    ``initial`` is one 2x2 matrix or a stack (k, 2, 2) of them; each returned
+    state has the same shape, so one call serves every launch state of a
+    device (a stacked matrix agrees with its own single call to round-off).
     Each mark is integrated from zero on its own (the full steps as one
-    matrix power, then at most one shortened step), so every returned matrix
+    matrix power, then at most one shortened step), so every returned state
     equals integrate_moments(initial, dp, mark, step) bit for bit, for any
     marks.  Raises OverflowError if a state leaves the representable range.
     """
@@ -154,7 +157,10 @@ def integrate_moments_path(
 
     gen = _generator(dp)
     full_step = _rk4_step_map(gen, step)
-    w0 = np.append(_validate_initial(initial).ravel(), 1.0)
+    n0 = _validate_initial(initial)
+    states = n0.reshape(-1, 4)
+    # one column (vec N, 1) per initial matrix
+    w0 = np.vstack((states.T, np.ones(len(states))))
     out: list[np.ndarray] = []
     for mark in marks:
         count, rem = _split_steps(mark, step)
@@ -167,5 +173,5 @@ def integrate_moments_path(
             raise OverflowError(
                 f"moment integration left the representable range near zeta={mark}"
             )
-        out.append(w[:4].reshape(2, 2))
+        out.append(w[:4].T.reshape(n0.shape))
     return out

@@ -25,10 +25,12 @@ gives y and Y = Int_0^zeta e^{2 beta t} y dt (C. F. Van Loan, IEEE TAC 23(3),
     expm(zeta [[L, e1], [0, 0]]) = [[e^{zeta L}, Y], [0, 1]],   e^{zeta L} e1 = e^{2 beta zeta} y.
 
 Unlike H, which is defective at the degeneracy 1 + n^2 = 0, B stays well
-conditioned there, so the moments keep their accuracy next to it.  Each matrix
-of the stack handed to scipy.linalg.expm is treated on its own, so a grid point
-equals the same point evaluated alone, bit for bit.  The route uses H and the
-pump weights only, never the moment equation of ``moments``.
+conditioned there, so the moments keep their accuracy next to it.  The whole
+grid is one stack for ``core.expm``, a batched scaling-and-squaring exponential
+(Al-Mohy and Higham 2009) that scales and squares each matrix by its own
+count: a grid point equals the same point evaluated alone, bit for bit, and
+decayed products keep their accuracy.  The route uses H and the pump weights
+only, never the moment equation of ``moments``.
 
 Raw photon numbers of amplifying devices grow without bound in this linear
 model; functions returning them raise GrowthGuardError once the predicted
@@ -45,10 +47,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .configurations import Kind
-from .core import EffectiveParams, hamiltonian
+from .core import EffectiveParams, expm, hamiltonian
 
 GROWTH_GUARD_MAX = 1e12
 

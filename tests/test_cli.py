@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,19 @@ def test_sweep_q00_stays_defined_while_moments_are_finite(tmp_path, capsys, swee
     assert np.all((q00 >= 0.0) & (q00 <= 1.0 + 1e-12))
     # one mode dominates far out, so the vacuum fields become fully correlated
     assert abs(q00[-1] - 1.0) < 1e-4
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays the import; numpy alone must carry the package
+    src = str(Path(ptdimer.observables.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, ptdimer; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

@@ -130,6 +130,18 @@ def test_path_matches_single_shot_bitwise_off_the_step_grid():
         assert np.array_equal(state, single)
 
 
+def test_stacked_initial_states_match_per_launch_calls():
+    dp = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, -1.2))
+    launches = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    marks = (0.5, 1.23456, 5.0)
+    path = integrate_moments_path(launches, dp, marks, step=4e-4)
+    for zeta, states in zip(marks, path):
+        assert states.shape == (3, 2, 2)
+        for initial, state in zip(launches, states):
+            single = integrate_moments(initial, dp, zeta, step=4e-4)
+            assert np.allclose(state, single, rtol=1e-14, atol=0.0)
+
+
 def _rk4_loop(initial, dp, zeta, step):
     """Reference: the classical four-stage RK4 loop on moment_ode_rhs."""
     n = np.array(initial, dtype=complex)

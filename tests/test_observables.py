@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
+from ptdimer import observables
 from ptdimer.configurations import Kind, effective_params, realization_for_gamma
-from ptdimer.core import EffectiveParams
+from ptdimer.core import EffectiveParams, expm, propagator
 from ptdimer.observables import (
     CURVE_COLUMNS,
     GROWTH_GUARD_MAX,
@@ -23,6 +25,7 @@ from ptdimer.observables import (
     PhotonNumbers,
     VacuumMoments,
     asymptotic_shares,
+    moment_bundle,
     noon_photon_numbers,
     noon_two_point,
     q_noon,
@@ -411,6 +414,59 @@ def test_degenerate_gain_loss_moments_are_exact_polynomials(zeta):
     )
     for value, want in zip((vm.n1, vm.n2, vm.n12), exact):
         assert abs(value - want) <= 1e-14 * abs(want)
+
+
+def test_decayed_field_transfer_matches_propagator():
+    # far out on a lossy device the products conj(V) (x) V decay to about
+    # 1e-44; they must keep their relative accuracy, not turn into round-off
+    p = params_for(Kind.PASSIVE_LOSS, -0.2)
+    grid = np.linspace(0.0, 250.0, 26)
+    bundle = moment_bundle(p, Kind.PASSIVE_LOSS, grid)
+    for zeta, transfer in zip(grid, bundle.transfer):
+        u = propagator(p.n, zeta)
+        want = math.exp(2.0 * p.beta * zeta) * np.kron(u.conj(), u)
+        assert np.allclose(transfer, want, rtol=1e-8, atol=0.0), zeta
+    curve = sample_curve(p, Kind.PASSIVE_LOSS, "single", grid)
+    assert curve.gaps == []
+
+
+# ---------------------------------------------------------------------------
+# the batched matrix exponential
+
+
+def _generators(monkeypatch, kind, gamma):
+    """The stack of block generators moment_bundle exponentiates, zeta <= 300 within range."""
+    p = params_for(kind, gamma)
+    grid = np.linspace(0.0, 300.0, 31)
+    grid = grid[2.0 * (p.beta + abs(p.omega.imag)) * grid < 650.0]
+    seen = []
+    monkeypatch.setattr(observables, "expm", lambda a: seen.append(a) or expm(a))
+    moment_bundle(p, kind, grid)
+    return seen[0]
+
+
+@pytest.mark.parametrize("magnitude", [0.2, 0.5, 0.98, 1.0, 1.02, 2.0, 4.0])
+@pytest.mark.parametrize("kind", [Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE])
+def test_expm_matches_scipy_on_moment_generators(monkeypatch, kind, magnitude):
+    # every column, relative to its largest entry
+    stack = _generators(monkeypatch, kind, -magnitude)
+    ours = expm(stack)
+    for block, reference in zip(ours, map(scipy_expm, stack)):
+        columns = np.abs(reference).max(axis=0)
+        assert np.all(np.abs(block - reference) <= 1e-9 * columns)
+
+
+def test_expm_of_one_matrix_and_of_zero():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert expm(a).shape == (4, 4)
+    assert np.allclose(expm(a), scipy_expm(a), rtol=1e-12, atol=1e-12 * np.abs(expm(a)).max())
+    assert np.array_equal(expm(np.zeros((5, 5), dtype=complex)), np.eye(5))
+    stack = np.array([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))])
+    assert np.array_equal(expm(stack)[[0, 2]], np.array([np.eye(3), np.eye(3)]))
+    with pytest.raises(OverflowError):
+        expm(np.full((2, 2), math.nan))
+
 
 @given(st.floats(-1.15, 1.15).filter(lambda g: abs(g) > 0.05), st.floats(0.1, 6.0))
 @settings(max_examples=60, deadline=None)
