@@ -38,8 +38,8 @@ from .verification import run_verification
 
 GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 DEFAULT_FIGURE_STEPS = 300
-# sample_curve holds every grid point at once (about 1.5 kB each), so a
-# mistyped --steps must fail before the grid is built, not exhaust memory
+# sample_curve holds every grid point at once (a peak of about 2.7 kB each,
+# 64 bytes kept), so a mistyped --steps must fail before the grid is built
 MAX_STEPS = 100_000
 
 # Bundled figure presets: observable, device rows, and the distance window.
@@ -129,9 +129,9 @@ def write_curve_csv(
         f"nr={_fmt(nr)}, g={_fmt(g)}, observable={curve.observable}"
     ]
     lines.append(",".join(("zeta",) + curve.columns))
-    for zeta, record in zip(curve.zetas, curve.values):
-        row = [_fmt(zeta)] + [_fmt(record[name]) for name in curve.columns]
-        lines.append(",".join(row))
+    table = np.column_stack([curve.zetas] + [curve.column(name) for name in curve.columns])
+    row = ",".join(["%.17g"] * table.shape[1])  # each cell as _fmt prints it
+    lines.extend(row % tuple(cells) for cells in (table + 0.0).tolist())
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

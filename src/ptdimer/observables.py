@@ -25,7 +25,8 @@ gives y and Y = Int_0^zeta e^{2 beta t} y dt (C. F. Van Loan, IEEE TAC 23(3),
     expm(zeta [[L, e1], [0, 0]]) = [[e^{zeta L}, Y], [0, 1]],   e^{zeta L} e1 = e^{2 beta zeta} y.
 
 Unlike H, which is defective at the degeneracy 1 + n^2 = 0, B stays well
-conditioned there, so the moments keep their accuracy next to it.  The whole
+conditioned there, so the moments keep their accuracy next to it; for n = i gamma
+B is real, and so is the block, exponentiated in real arithmetic.  The whole
 grid is one stack for ``core.expm``, a batched scaling-and-squaring exponential
 (Al-Mohy and Higham 2009) that scales and squares each matrix by its own
 count: a grid point equals the same point evaluated alone, bit for bit, and
@@ -202,8 +203,9 @@ def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> Mom
     h = hamiltonian(params.n)
     hc = h.conj()
     eye = np.eye(2)
-    companion = np.array([[0.0, -(1.0 + params.n * params.n)], [1.0, 0.0]])
-    generator = np.zeros((5, 5), dtype=complex)
+    omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
+    companion = np.array([[0.0, -(omega2.real if omega2.imag == 0.0 else omega2)], [1.0, 0.0]])
+    generator = np.zeros((5, 5), dtype=companion.dtype)
     generator[:4, :4] = np.kron(companion.conj(), eye) + np.kron(eye, companion)
     generator[:4, :4] += 2.0 * params.beta * np.eye(4)
     generator[0, 4] = 1.0
@@ -455,16 +457,16 @@ _GAP_REASONS = {
 
 @dataclass
 class ObservableCurve:
-    """A sampled observable: one record per grid point, gaps where undefined.
+    """A sampled observable: one read-only array per column, gaps where undefined.
 
-    ``values[i]`` is a dict of column values at ``zetas[i]``; individual
-    entries are NaN where that point could not be evaluated, with the reason
-    recorded in ``gaps`` as (index, message).
+    ``data[name][i]`` is the value of column ``name`` at ``zetas[i]``; entries
+    are NaN where that point could not be evaluated, with the reason recorded
+    in ``gaps`` as (index, message).
     """
 
     observable: str
     zetas: np.ndarray
-    values: list[dict[str, float]]
+    data: dict[str, np.ndarray]
     gaps: list[tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -472,7 +474,7 @@ class ObservableCurve:
         return CURVE_COLUMNS[self.observable]
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([v[name] for v in self.values])
+        return self.data[name]
 
 
 def _curve_columns(
@@ -501,7 +503,7 @@ def _curve_columns(
 def _curve_point(params: EffectiveParams, kind: Kind, observable: str, zeta: float) -> float:
     """The last column of ``observable`` at one distance, unguarded."""
     curve = sample_curve(params, kind, observable, np.array([float(zeta)]), max_magnitude=None)
-    return curve.values[0][CURVE_COLUMNS[observable][-1]]
+    return float(curve.column(CURVE_COLUMNS[observable][-1])[0])
 
 
 def sample_curve(
@@ -537,14 +539,12 @@ def sample_curve(
     raw_ok = exponents <= _log_guard(max_magnitude)
     columns = _curve_columns(moment_bundle(params, kind, grid), observable, raw_ok)
 
-    guarded = np.flatnonzero(~raw_ok)
-    gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in guarded]
+    gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in np.flatnonzero(~raw_ok)]
     for name, reason in _GAP_REASONS.items():
         if name in columns:
             for i in np.flatnonzero(np.isnan(columns[name])):
                 gaps.append((int(i), reason.format(zeta=float(grid[i]))))
     gaps.sort(key=lambda gap: gap[0])
-    names = tuple(columns)
-    rows = zip(*(columns[name].tolist() for name in names))
-    values = [dict(zip(names, row)) for row in rows]
-    return ObservableCurve(observable=observable, zetas=grid, values=values, gaps=gaps)
+    for values in columns.values():
+        values.flags.writeable = False
+    return ObservableCurve(observable=observable, zetas=grid, data=columns, gaps=gaps)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import pytest
 
 import ptdimer.observables
 import ptdimer.verification
-from ptdimer.cli import RunSpec, cmd_sweep, main
+from ptdimer.cli import RunSpec, cmd_sweep, main, write_curve_csv
+from ptdimer.configurations import Kind, effective_params, preset_realization
+from ptdimer.observables import ObservableCurve
 
 
 def read_csv(path):
@@ -176,6 +179,31 @@ def test_cmd_sweep_accepts_runspec_directly(tmp_path):
     assert header == ["zeta", "n1", "n2", "q2002"]
     assert data[0, 3] == -1.0  # anti-correlated launch
     assert np.all(data[:, 3] <= 1e-12)
+
+
+def test_csv_cells_print_as_17_significant_digits(tmp_path):
+    # every cell reads as format(x + 0.0, ".17g"): negative zero folded,
+    # NaN as "nan", subnormals and inexact decimals in full
+    zetas = np.array([0.0, 0.1, 1.0 / 3.0])
+    data = {
+        "n1": np.array([-0.0, 5e-324, 2.2250738585072014e-308]),
+        "n2": np.array([0.1, 1.0 / 3.0, 1e300]),
+        "q2002": np.array([math.nan, -1.0, -0.0]),
+    }
+    curve = ObservableCurve("q2002", zetas, data)
+    realization = preset_realization(Kind.GAIN_LOSS, 0.5)
+    path = tmp_path / "cells.csv"
+    write_curve_csv(path, Kind.GAIN_LOSS, effective_params(realization), 1.5, 1.0, curve)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == (
+        "# kind=gain-loss, gamma=-0.5, beta=0, nr=1.5, g=1, observable=q2002"
+    )
+    assert lines[1] == "zeta,n1,n2,q2002"
+    columns = (zetas, data["n1"], data["n2"], data["q2002"])
+    expected = [[format(float(c[i]) + 0.0, ".17g") for c in columns] for i in range(3)]
+    assert [line.split(",") for line in lines[2:]] == expected
+    assert lines[2] == "0,0,0.10000000000000001,nan"
+    assert lines[3].split(",")[1] == "4.9406564584124654e-324"
 
 
 @pytest.mark.parametrize("figure, count", [("fig2", 9), ("fig3", 9), ("fig4", 12), ("fig5", 12)])

@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from ptdimer import observables
+from ptdimer import cli, observables
 from ptdimer.configurations import Kind, effective_params, realization_for_gamma
 from ptdimer.core import EffectiveParams, expm, propagator
 from ptdimer.observables import (
@@ -25,6 +25,7 @@ from ptdimer.observables import (
     PhotonNumbers,
     VacuumMoments,
     asymptotic_shares,
+    launch_moments,
     moment_bundle,
     noon_photon_numbers,
     noon_two_point,
@@ -305,16 +306,16 @@ def test_sample_curve_flags_guarded_points():
     p = params_for(Kind.GAIN_GAIN, 1.2)
     grid = np.array([0.5, 20.0])
     curve = sample_curve(p, Kind.GAIN_GAIN, "single", grid)
-    assert math.isfinite(curve.values[0]["n1"])
-    assert math.isnan(curve.values[1]["n1"])  # beyond the growth guard
-    assert math.isfinite(curve.values[1]["share1"])  # ratio still defined
+    assert math.isfinite(curve.column("n1")[0])
+    assert math.isnan(curve.column("n1")[1])  # beyond the growth guard
+    assert math.isfinite(curve.column("share1")[1])  # ratio still defined
     assert any(index == 1 for index, _ in curve.gaps)
 
 
 def test_sample_curve_passive_spont_is_all_gaps():
     p = params_for(Kind.LOSS_LOSS, -0.5)
     curve = sample_curve(p, Kind.LOSS_LOSS, "spont", np.array([1.0, 2.0]))
-    assert all(math.isnan(v["share1"]) for v in curve.values)
+    assert all(math.isnan(v) for v in curve.column("share1"))
     assert len(curve.gaps) == 2
 
 
@@ -330,8 +331,8 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
     for index in (0, 11, 36):
         alone = sample_curve(p, kind, observable, grid[index : index + 1], max_magnitude=None)
         for name in curve.columns:
-            on_grid = np.float64(curve.values[index][name])
-            assert on_grid.tobytes() == np.float64(alone.values[0][name]).tobytes()
+            on_grid = np.float64(curve.column(name)[index])
+            assert on_grid.tobytes() == np.float64(alone.column(name)[0]).tobytes()
 
 
 def test_sample_curve_rejects_bad_grid():
@@ -454,6 +455,57 @@ def test_expm_matches_scipy_on_moment_generators(monkeypatch, kind, magnitude):
     for block, reference in zip(ours, map(scipy_expm, stack)):
         columns = np.abs(reference).max(axis=0)
         assert np.all(np.abs(block - reference) <= 1e-9 * columns)
+
+
+def _bundle_and_stack(p, kind, grid):
+    """moment_bundle on a grid, and the stack of block generators it hands to expm."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "expm", lambda a: seen.append(a) or expm(a))
+        bundle = moment_bundle(p, kind, grid)
+    return bundle, seen[0]
+
+
+@given(
+    st.sampled_from(list(Kind)),
+    st.floats(0.2, 4.0) | st.sampled_from([0.99, 1.0, 1.01]),
+    st.booleans(),
+    st.floats(0.0, 50.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
+    # n = 1e-300 + i gamma has the same physics but a complex Omega^2, so it
+    # takes the complex path through expm
+    two_signed = kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS)
+    p = params_for(kind, magnitude if positive and two_signed else -magnitude)
+    assume(2.0 * (p.beta + abs(p.omega.imag)) * zeta < 650.0)
+    twin = EffectiveParams.from_detuning(complex(1e-300, p.gamma), p.n0)
+    real, real_stack = _bundle_and_stack(p, kind, np.array([zeta]))
+    cplx, cplx_stack = _bundle_and_stack(twin, kind, np.array([zeta]))
+    assert real_stack.dtype == np.float64 and cplx_stack.dtype == np.complex128
+    pairs = ((launch_moments(real, ()), launch_moments(cplx, ())), (real.transfer, cplx.transfer))
+    for ours, reference in pairs:
+        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_presets_exponentiate_real_stacks(tmp_path, monkeypatch):
+    dtypes = []
+    monkeypatch.setattr(observables, "expm", lambda a: dtypes.append(a.dtype) or expm(a))
+    for figure in cli.FIGURES:
+        assert cli.main(["figure", figure, "--out", str(tmp_path), "--steps", "3"]) == 0
+    sweep = ["sweep", "--nr", "1.7", "--g", "0.3", "--out", str(tmp_path / "s.csv")]
+    for kind in Kind:
+        assert cli.main(sweep + ["--kind", kind.value, "--gamma", "1.2", "--steps", "3"]) == 0
+    assert len(dtypes) == 42 + len(Kind)
+    assert set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_curve_columns_are_read_only():
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    curve = sample_curve(p, Kind.GAIN_LOSS, "all", np.linspace(0.1, 2.0, 5))
+    for name in curve.columns:
+        with pytest.raises(ValueError):
+            curve.column(name)[0] = 1.0
 
 
 def test_expm_of_one_matrix_and_of_zero():
