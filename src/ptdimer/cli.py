@@ -9,8 +9,8 @@ Three subcommands:
 Sweeps write a single CSV with one row per propagation distance: a leading
 '#' metadata line (kind, gamma, beta, nr, g, observable), a header row, then
 17-significant-digit values separated by commas.  Identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 runtime failure (moments
-beyond the range or the precision of floating point, or I/O), 2 usage error.
+byte-identical files.  Exit codes: 0 success, 1 runtime failure (I/O, a failed
+verify, moments breaking a bound, distances too large to exponentiate), 2 usage error.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ count: a grid point equals the same point evaluated alone, bit for bit, and
 decayed products keep their accuracy.  The route uses H and the pump weights
 only, never the moment equation of ``moments``.
 
-Raw photon numbers of amplifying devices grow without bound in this linear
-model; functions returning them raise GrowthGuardError once the predicted
-magnitude exceeds ``max_magnitude`` (default 1e12; a real device saturates
-first; None lifts the guard, and a value that is neither None nor positive
-raises ValueError).  Shares, q00 and q2002 are ratios and stay unguarded.
-Past about 2 (beta + |Im Omega|) zeta = 690 the moments leave the
-floating-point range and every function here raises OverflowError.
+The moments grow like e^{c zeta}, c = 2 (beta + |Im Omega|), so the block is
+exponentiated shifted, expm(zeta (G - c I)) = e^{-c zeta} expm(zeta G) (Higham,
+Functions of Matrices, SIAM 2008, ch. 10), and the ratios (shares, q00, q2002)
+are formed envelope-free, defined at any distance.  Raw photon numbers (times
+e^{c zeta}) raise GrowthGuardError past ``max_magnitude`` (default 1e12, where a
+real device has saturated; None lifts it, a non-positive value is a ValueError).
+Past the float range a raw value is a gap on a curve, OverflowError at a point.
 """
 
 from __future__ import annotations
@@ -54,19 +54,13 @@ from .core import EffectiveParams, expm, hamiltonian
 
 GROWTH_GUARD_MAX = 1e12
 
-# Block entries beyond this count as overflow, so that the few-term sums built
-# from them stay finite; products of moments are formed only after scaling.
-_MOMENT_CEILING = 2.0**1000
-
-# Ratio denominators below this sit too close to the subnormal range to keep
-# their precision, so the ratio counts as undefined.
+# Ratio denominators below this count as zero (no spontaneous field, or zeta = 0).
 _RATIO_FLOOR = 2.0**-1000
 
 # Round-off allowed below zero in a photon number before it is rejected.
 _NEGATIVE_SLACK = 1e-12
 
-# Slack allowed when validating the Cauchy-Schwarz bound |n12|^2 <= n1 n2;
-# the relative part matters once the moments grow large.
+# Slack of the Cauchy-Schwarz check |n12|^2 <= n1 n2 (relative: for large raw moments).
 _CS_ABS_SLACK = 1e-9
 _CS_REL_SLACK = 1e-12
 
@@ -88,21 +82,10 @@ def _invalid_numbers(values):
     return ~(np.isfinite(values) & (values >= -_NEGATIVE_SLACK))
 
 
-def _scale_exponent(*magnitudes):
-    """Per point, the least e >= 0 with all magnitudes below 2**e (exact to divide by)."""
-    largest = np.maximum.reduce(np.broadcast_arrays(*magnitudes))
-    return np.maximum(np.frexp(largest)[1], 0)
-
-
-@np.errstate(all="ignore")
 def _breaks_cauchy_schwarz(n1, n2, n12):
-    """Where |n12|^2 exceeds n1 n2 beyond round-off, compared after exact scaling."""
-    exponent = _scale_exponent(n1, n2, np.abs(n12))
-    scale = np.ldexp(1.0, -exponent)
-    cross = (np.abs(n12) * scale) ** 2
-    bound = (n1 * scale) * (n2 * scale)
-    slack = np.ldexp(_CS_ABS_SLACK, -2 * exponent) + _CS_REL_SLACK * np.maximum(cross, bound)
-    return cross > bound + slack
+    """Where |n12|^2 (1 - rel) > n1 n2 + abs (n1, n2 >= 0), compared without squares."""
+    bound = np.hypot(np.sqrt(n1) * np.sqrt(n2), math.sqrt(_CS_ABS_SLACK))
+    return np.abs(n12) * math.sqrt(1.0 - _CS_REL_SLACK) > bound
 
 
 @dataclass(frozen=True)
@@ -135,8 +118,8 @@ class VacuumMoments:
             raise ValueError(f"n12 must be finite, got {n12!r}")
         if _breaks_cauchy_schwarz(numbers.n1, numbers.n2, n12):
             raise ValueError(
-                "moments violate the Cauchy-Schwarz bound: "
-                f"|n12|^2={abs(n12) ** 2!r} > n1*n2={numbers.n1 * numbers.n2!r}"
+                "moments violate the Cauchy-Schwarz bound |n12|^2 <= n1 n2: "
+                f"n1={numbers.n1!r}, n2={numbers.n2!r}, |n12|={abs(n12)!r}"
             )
         object.__setattr__(self, "n1", numbers.n1)
         object.__setattr__(self, "n2", numbers.n2)
@@ -168,10 +151,14 @@ def vacuum_pump_weights(params: EffectiveParams, kind: Kind) -> tuple[float, flo
     return weights
 
 
+def _growth_rate(params: EffectiveParams) -> float:
+    """Rate c = 2 (beta + |Im Omega|) at which the moments grow (decay if c < 0)."""
+    return 2.0 * (params.beta + abs(params.omega.imag))
+
+
 def _growth_exponent(params: EffectiveParams, zeta):
-    """Log of the predicted peak magnitude e^{2 (|Im Omega| + beta) zeta}."""
-    rate = abs(params.omega.imag) + params.beta
-    return 2.0 * max(0.0, rate) * zeta
+    """Log of the predicted peak magnitude e^{max(c, 0) zeta}."""
+    return max(0.0, _growth_rate(params)) * zeta
 
 
 def _growth_note(exponent: float, max_magnitude: float) -> str:
@@ -183,20 +170,20 @@ def _growth_note(exponent: float, max_magnitude: float) -> str:
 
 @dataclass(frozen=True)
 class MomentBundle:
-    """Moments on a distance grid: vacuum n1, n2, n12 and transfer = conj(V) (x) V, per point."""
+    """Per point: vacuum n1, n2, n12 and transfer = conj(V) (x) V, over e^{log_envelope}."""
 
     zetas: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
     n12: np.ndarray
     transfer: np.ndarray
+    log_envelope: np.ndarray
 
 
 def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> MomentBundle:
-    """All moments on a distance grid from one stacked block exponential.
+    """All moments on a distance grid from one stacked block exponential, envelope divided out.
 
-    Raises OverflowError naming the first distance where they leave the float
-    range, and FloatingPointError where they break a bound they must satisfy.
+    Raises FloatingPointError where they break a bound they must satisfy.
     """
     zetas = np.asarray(zetas, dtype=float)
     w = np.diag(vacuum_pump_weights(params, kind))
@@ -205,46 +192,52 @@ def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> Mom
     eye = np.eye(2)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
     companion = np.array([[0.0, -(omega2.real if omega2.imag == 0.0 else omega2)], [1.0, 0.0]])
+    rate = _growth_rate(params)
+    # G - c I, but lossy kinds (c < 0, W = 0) keep the corner, so their unused
+    # integral column stays finite; L - c I = conj(B) (x) I + I (x) B - 2 |Im Omega| I
     generator = np.zeros((5, 5), dtype=companion.dtype)
     generator[:4, :4] = np.kron(companion.conj(), eye) + np.kron(eye, companion)
-    generator[:4, :4] += 2.0 * params.beta * np.eye(4)
+    generator[:4, :4] -= 2.0 * abs(params.omega.imag) * np.eye(4)
     generator[0, 4] = 1.0
+    generator[4, 4] = -max(rate, 0.0)
     # V* W V^T and conj(V) (x) V, term by term in (c* c, c* s, s* c, s* s)
     moment_terms = (w, 1j * w @ h, -1j * hc @ w, hc @ w @ h)
     transfer_terms = (np.eye(4), 1j * np.kron(eye, h), -1j * np.kron(hc, eye), np.kron(hc, h))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # expm raises OverflowError where no scaling is finite
         blocks = expm(zetas[:, None, None] * generator)
-        in_range = np.all(np.abs(blocks) <= _MOMENT_CEILING, axis=(1, 2))
-        products, integrals = blocks[:, :4, 0, None, None], blocks[:, :4, 4, None, None]
-        transfer = sum(products[:, k] * term for k, term in enumerate(transfer_terms))
-        moments = sum(integrals[:, k] * term for k, term in enumerate(moment_terms))
-    if not in_range.all():
-        zeta = float(zetas[np.argmin(in_range)])
-        raise OverflowError(
-            f"moments leave the floating-point range at zeta={zeta!r} "
-            f"(growth e^{_growth_exponent(params, zeta):.0f})"
-        )
+    products, integrals = blocks[:, :4, 0, None, None], blocks[:, :4, 4, None, None]
+    transfer = sum(products[:, k] * term for k, term in enumerate(transfer_terms))
+    moments = sum(integrals[:, k] * term for k, term in enumerate(moment_terms))
     n12 = moments[:, 0, 1]
     n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
-    return MomentBundle(zetas, n1, n2, n12, transfer)
+    return MomentBundle(zetas, n1, n2, n12, transfer, rate * zetas)
+
+
+def with_envelope(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Raw ``values`` (grid axis first, products of ``order`` moments each); inf past the range."""
+    log_envelope = order * bundle.log_envelope.reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values * np.exp(log_envelope)
 
 
 def _checked_numbers(zetas, n1, n2, n12=0.0):
     """Photon numbers, round-off negatives set to 0; FloatingPointError if a bound breaks."""
-    bad = _invalid_numbers(n1) | _invalid_numbers(n2) | _breaks_cauchy_schwarz(n1, n2, n12)
+    bad = _invalid_numbers(n1) | _invalid_numbers(n2)
+    n1, n2 = np.maximum(n1, 0.0), np.maximum(n2, 0.0)
+    bad |= _breaks_cauchy_schwarz(n1, n2, n12)
     if bad.any():
         zeta = float(zetas[np.argmax(bad)])
         raise FloatingPointError(
             f"moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound"
         )
-    return np.maximum(n1, 0.0), np.maximum(n2, 0.0)
+    return n1, n2
 
 
 def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
     """Moment matrices <a_i^dag a_j> per grid point, one photon launched into each of ``ports``.
 
-    The vacuum matrix [[n1, n12], [conj n12, n2]] plus, for each port p (from
-    0), conj(V_ip) V_jp: column 3 p of ``transfer`` taken as a 2x2 matrix.
+    In the bundle's frame: the vacuum matrix [[n1, n12], [conj n12, n2]] plus,
+    for each port p (from 0), conj(V_ip) V_jp: column 3 p of ``transfer``.
     """
     n12 = bundle.n12
     moments = np.moveaxis(np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]]), -1, 0)
@@ -259,9 +252,8 @@ def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.nd
     return _checked_numbers(bundle.zetas, moments[:, 0, 0].real, moments[:, 1, 1].real)
 
 
-@np.errstate(all="ignore")
 def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
-    """Coincidence moment <a1^dag a2^dag a2 a1> for the N00N input.
+    """Coincidence moment <a1^dag a2^dag a2 a1> for the N00N input, in the bundle's frame squared.
 
     Interference of the two stimulated paths, |V11 V21 + V12 V22|^2, plus the
     spontaneous background and the mixed stimulated-spontaneous terms.
@@ -277,12 +269,9 @@ def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _ratio(numerator: np.ndarray, denominator: np.ndarray, exponent=0) -> np.ndarray:
-    """Ratio of values scaled down by 2**exponent; NaN for a non-finite or tiny denominator."""
-    ratio = numerator / denominator
-    floor = np.ldexp(_RATIO_FLOOR, -exponent)
-    defined = np.isfinite(denominator) & (denominator >= floor) & np.isfinite(ratio)
-    return np.where(defined, ratio, math.nan)
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Ratio of frame values; NaN where the denominator is zero (below the floor)."""
+    return np.where(denominator >= _RATIO_FLOOR, numerator / denominator, math.nan)
 
 
 def _log_guard(max_magnitude: float | None) -> float:
@@ -307,6 +296,14 @@ def _at_point(
     return moment_bundle(params, kind, np.array([zeta]))
 
 
+def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Raw ``values`` of a one-point bundle; OverflowError past the floating-point range."""
+    raw = with_envelope(bundle, values, order)[0]
+    if not np.isfinite(raw).all():
+        raise OverflowError(f"raw moments leave the float range at zeta={bundle.zetas[0]:g}")
+    return raw
+
+
 def vacuum_moments(
     params: EffectiveParams,
     kind: Kind,
@@ -316,7 +313,8 @@ def vacuum_moments(
 ) -> VacuumMoments:
     """Spontaneous second moments generated from vacuum at distance zeta."""
     bundle = _at_point(params, kind, zeta, max_magnitude)
-    return VacuumMoments(float(bundle.n1[0]), float(bundle.n2[0]), complex(bundle.n12[0]))
+    moments = _raw_point(bundle, launch_moments(bundle, ()))
+    return VacuumMoments(moments[0, 0].real, moments[1, 1].real, moments[0, 1])
 
 
 def q_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
@@ -351,8 +349,8 @@ def single_photon_numbers(
     """
     if port not in (1, 2):
         raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    n1, n2 = _photon_numbers(_at_point(params, kind, zeta, max_magnitude), (port - 1,))
-    return PhotonNumbers(float(n1[0]), float(n2[0]))
+    bundle = _at_point(params, kind, zeta, max_magnitude)
+    return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (port - 1,)))))
 
 
 def noon_photon_numbers(
@@ -363,8 +361,8 @@ def noon_photon_numbers(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
     """Mean photon numbers for the two-photon input (|20> + |02>)/sqrt(2)."""
-    n1, n2 = _photon_numbers(_at_point(params, kind, zeta, max_magnitude), (0, 1))
-    return PhotonNumbers(float(n1[0]), float(n2[0]))
+    bundle = _at_point(params, kind, zeta, max_magnitude)
+    return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (0, 1)))))
 
 
 def noon_two_point(
@@ -379,7 +377,8 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    return float(_noon_two_point(_at_point(params, kind, zeta, max_magnitude))[0])
+    bundle = _at_point(params, kind, zeta, max_magnitude)
+    return float(_raw_point(bundle, _noon_two_point(bundle), order=2))
 
 
 def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
@@ -447,7 +446,8 @@ _INPUT_PORTS = dict(spont=(), q00=(), all=(), single=(0,), noon_n=(0, 1), q2002=
 # Observables whose value at zeta = 0 is a 0/0 (spontaneous shares, q00).
 ZERO_UNDEFINED = ("spont", "q00", "all")
 
-# Why a ratio column is NaN at a point (raw columns are NaN past the guard).
+# Why a column is NaN at a point: raw ones within the guard, then the ratios.
+_RANGE_NOTE = "raw photon numbers leave the floating-point range at zeta={zeta!r}"
 _GAP_REASONS = {
     "share1": "renormalization undefined at zeta={zeta!r}: no photons",
     "q00": "q00 undefined at zeta={zeta!r}: no spontaneous field",
@@ -480,23 +480,19 @@ class ObservableCurve:
 def _curve_columns(
     bundle: MomentBundle, observable: str, raw_ok: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Every CSV column of ``observable``; raw columns are NaN where not ``raw_ok``."""
+    """Every CSV column of ``observable``; raw columns are NaN where not ``raw_ok`` or finite."""
     names = CURVE_COLUMNS[observable]
     n1, n2 = _photon_numbers(bundle, _INPUT_PORTS[observable])
-    raw = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
+    frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
+    raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
+    raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
     columns = {name: np.where(raw_ok, values, math.nan) for name, values in raw.items()}
     columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
     columns["share2"] = 1.0 - columns["share1"]
-    # q00 and q2002 divide products of moments: scale each point below 1 first
-    t = bundle.transfer
-    exponent = _scale_exponent(bundle.n1, bundle.n2, np.abs(bundle.n12), np.abs(t).max(axis=(1, 2)))
-    scale = np.ldexp(1.0, -exponent)
-    n1, n2, n12 = bundle.n1 * scale, bundle.n2 * scale, bundle.n12 * scale
-    scaled = MomentBundle(bundle.zetas, n1, n2, n12, t * scale[:, None, None])
-    columns["q00"] = _ratio(np.abs(n12) ** 2, n1 * n2, 2 * exponent)
+    columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
     if "q2002" in names:  # the only column that needs the N00N numbers
-        noon1, noon2 = _photon_numbers(scaled, (0, 1))
-        columns["q2002"] = _ratio(_noon_two_point(scaled), noon1 * noon2, 2 * exponent) - 1.0
+        noon1, noon2 = _photon_numbers(bundle, (0, 1))
+        columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
     return {name: columns[name] for name in names}
 
 
@@ -519,15 +515,16 @@ def sample_curve(
     Every grid point is evaluated independently of the others (a point's
     values equal those of the same point sampled alone, bit for bit), and
     undefined or guarded values turn into NaN entries flagged in ``gaps``
-    instead of aborting the sweep.  Raises OverflowError where the moments
-    leave the floating-point range, and FloatingPointError where they break a
-    bound they must satisfy.
+    instead of aborting the sweep: raw columns past the growth guard or the
+    floating-point range, and ratios with a zero denominator.  The grid is
+    kept as a read-only copy.  Raises FloatingPointError where the moments
+    break a bound they must satisfy.
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
-    grid = np.asarray(zetas, dtype=float)
+    grid = np.array(zetas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("zeta grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(grid)) or grid[0] < 0.0:
@@ -540,11 +537,13 @@ def sample_curve(
     columns = _curve_columns(moment_bundle(params, kind, grid), observable, raw_ok)
 
     gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in np.flatnonzero(~raw_ok)]
+    for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])):
+        gaps.append((int(i), _RANGE_NOTE.format(zeta=float(grid[i]))))
     for name, reason in _GAP_REASONS.items():
         if name in columns:
             for i in np.flatnonzero(np.isnan(columns[name])):
                 gaps.append((int(i), reason.format(zeta=float(grid[i]))))
     gaps.sort(key=lambda gap: gap[0])
-    for values in columns.values():
+    for values in (grid, *columns.values()):
         values.flags.writeable = False
     return ObservableCurve(observable=observable, zetas=grid, data=columns, gaps=gaps)

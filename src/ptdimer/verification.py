@@ -32,7 +32,7 @@ import numpy as np
 from .configurations import Kind, effective_params, realization_for_gamma
 from .core import expm, hamiltonian, propagator
 from .moments import drift_and_pump, integrate_moments_path
-from .observables import launch_moments, moment_bundle, sample_curve
+from .observables import launch_moments, moment_bundle, sample_curve, with_envelope
 
 GRID_GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 GRID_ZETAS = (0.5, 1.0, 2.0, 5.0)
@@ -210,7 +210,7 @@ def _oracle_checks(
                 initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in states])
                 oracle = integrate_moments_path(initial, dp, marks, step=oracle_step)
                 for (name, ports), path in zip(states, np.stack(oracle, axis=1)):
-                    gaps = np.abs(launch_moments(bundle, ports) - path)
+                    gaps = np.abs(with_envelope(bundle, launch_moments(bundle, ports)) - path)
                     worst = float(np.max(gaps.max(axis=(1, 2)) * frame))
                     report.checks.append(Check(name.format(device=device), worst, tolerance))
 

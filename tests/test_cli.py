@@ -16,7 +16,7 @@ import ptdimer.observables
 import ptdimer.verification
 from ptdimer.cli import RunSpec, cmd_sweep, main, write_curve_csv
 from ptdimer.configurations import Kind, effective_params, preset_realization
-from ptdimer.observables import ObservableCurve
+from ptdimer.observables import ObservableCurve, asymptotic_shares
 
 
 def read_csv(path):
@@ -293,18 +293,26 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
     )
 
 
-def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys):
-    # growth e^709 by zeta 40: beyond the floating-point range
+def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):
+    # growth e^709 by zeta 40: the raw numbers leave the floating-point range,
+    # the shares do not
+    out = tmp_path / "far.csv"
     argv = ["sweep", "--kind", "gain-gain", "--gamma", "3", "--observable", "spont"]
-    argv += ["--zeta-max", "300", "--out", str(tmp_path / "far.csv")]
+    argv += ["--zeta-max", "300", "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no floating-point warnings either
         code = main(argv)
-    assert code == 1
+    assert code == 0
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "zeta=" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "far.csv").exists()
+    assert "error" not in err and "Traceback" not in err
+    _, header, data = read_csv(out)
+    assert header == ["zeta", "n1", "n2", "share1", "share2"]
+    assert np.all(np.isfinite(data[:, 3:]))
+    guarded = np.isnan(data[:, 1])
+    assert guarded.any() and np.array_equal(guarded, np.isnan(data[:, 2]))
+    # one growth-guard note per row with raw columns gapped, and no other note
+    notes = [line for line in err.splitlines() if line.startswith("note: ")]
+    assert len(notes) == guarded.sum() and all("exceeds the guard" in n for n in notes)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +322,8 @@ def test_sweep_numerical_failure_exits_1_with_one_error_line(tmp_path, capsys):
         (["--kind", "gain-loss", "--gamma", "-2"], "150"),
         # at the degeneracy, where the moments grow like zeta^3 e^{2 zeta}
         (["--kind", "gain-passive", "--gamma", "-1"], "300"),
+        # broken regime, growth e^530 by the end
+        (["--kind", "gain-loss", "--gamma", "-1.2"], "400"),
     ],
 )
 def test_sweep_q00_stays_defined_while_moments_are_finite(tmp_path, capsys, sweep, zeta_max):
@@ -344,3 +354,41 @@ def test_import_loads_no_scipy():
         timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _sweep_columns(tmp_path, argv):
+    """Exit code, stderr and the named columns of one sweep, warnings as errors."""
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", *argv, "--out", str(out)])
+    _, header, data = read_csv(out)
+    return code, dict(zip(header, data.T))
+
+
+def test_passive_loss_q2002_sweep_has_no_decayed_gap(tmp_path, capsys):
+    argv = ["--kind", "passive-loss", "--gamma", "-1.2", "--observable", "q2002"]
+    code, columns = _sweep_columns(tmp_path, argv + ["--zeta-min", "0", "--zeta-max", "600"])
+    assert code == 0
+    assert np.all(columns["q2002"] >= -1.0)
+    assert "decayed" not in capsys.readouterr().err
+
+
+def test_gain_gain_all_sweep_reaches_the_asymptotic_shares(tmp_path, capsys):
+    argv = ["--kind", "gain-gain", "--gamma", "3", "--observable", "all", "--zeta-max", "300"]
+    code, columns = _sweep_columns(tmp_path, argv)
+    assert code == 0
+    for name in ("share1", "share2", "q00", "q2002"):
+        assert np.all(np.isfinite(columns[name])), name
+    last = (columns["share1"][-1], columns["share2"][-1])
+    assert np.allclose(last, asymptotic_shares(3.0), rtol=0.0, atol=1e-12)
+    assert "undefined" not in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    argv = ["sweep", "--steps", "3", "--out", str(blocker / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

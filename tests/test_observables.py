@@ -6,6 +6,7 @@ the tolerances used here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ptdimer.observables import (
     single_photon_numbers,
     vacuum_moments,
     vacuum_pump_weights,
+    with_envelope,
 )
 
 ORACLE_RTOL = 1e-9
@@ -206,13 +208,14 @@ def test_q_noon_crosses_into_bunching_for_gain_loss():
 
 
 def test_q_noon_stays_defined_or_gapped_deep_in_decay():
-    # from zeta ~ 200 on the loss-loss moments sink into the subnormal range,
-    # where a ratio of them would carry no precision
+    # from zeta ~ 200 on the raw loss-loss moments sink into the subnormal
+    # range; the ratio, formed with the envelope divided out, stays defined
     p = params_for(Kind.LOSS_LOSS, -0.9)
     curve = sample_curve(p, Kind.LOSS_LOSS, "q2002", np.linspace(0.05, 1000.0, 300))
     q = curve.column("q2002")
-    assert np.all(q[~np.isnan(q)] >= -1.0 - 1e-12)
-    assert np.isnan(q[-1]) and any("decayed" in note for _, note in curve.gaps)
+    assert np.all(q >= -1.0)
+    # 60-digit mpmath from U = cos(Omega zeta) I + i sin(Omega zeta) H / Omega
+    assert np.isclose(q[-1], -0.78061757778508866, rtol=1e-10, atol=0.0)
 
 
 def test_q_noon_stays_nonpositive_for_passive_kinds():
@@ -396,6 +399,8 @@ def test_vacuum_moments_validation():
         VacuumMoments(-1.0, 1.0, 0.0j)
     with pytest.raises(ValueError):
         VacuumMoments(1.0, 1.0, 2.0 + 0.0j)  # violates the correlation bound
+    with pytest.raises(ValueError):
+        VacuumMoments(1e200, 1e200, 2e200)  # |n12|^2 and n1 n2 both overflow
     vm = VacuumMoments(-1e-13, 1.0, 0.0j)  # tiny negative rounding clamps to 0
     assert vm.n1 == 0.0
 
@@ -423,7 +428,7 @@ def test_decayed_field_transfer_matches_propagator():
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
     bundle = moment_bundle(p, Kind.PASSIVE_LOSS, grid)
-    for zeta, transfer in zip(grid, bundle.transfer):
+    for zeta, transfer in zip(grid, with_envelope(bundle, bundle.transfer)):
         u = propagator(p.n, zeta)
         want = math.exp(2.0 * p.beta * zeta) * np.kron(u.conj(), u)
         assert np.allclose(transfer, want, rtol=1e-8, atol=0.0), zeta
@@ -498,6 +503,65 @@ def test_presets_exponentiate_real_stacks(tmp_path, monkeypatch):
         assert cli.main(sweep + ["--kind", kind.value, "--gamma", "1.2", "--steps", "3"]) == 0
     assert len(dtypes) == 42 + len(Kind)
     assert set(dtypes) == {np.dtype(np.float64)}
+
+
+@given(
+    st.sampled_from(list(Kind)),
+    st.floats(0.0, 4.0, exclude_min=True),
+    st.booleans(),
+    st.floats(0.0, 1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_ratios_keep_their_bounds_at_any_distance(kind, magnitude, positive, zeta):
+    two_signed = kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS)
+    p = params_for(kind, magnitude if positive and two_signed else -magnitude)
+    grid = np.array([zeta, 1e3]) if zeta < 1e3 else np.array([1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        every = sample_curve(p, kind, "all", grid)
+        single = sample_curve(p, kind, "single", grid)
+    q00 = every.column("q00")
+    q00 = q00[~np.isnan(q00)]  # no spontaneous field at all, or at zeta = 0
+    assert np.all((q00 >= -1e-12) & (q00 <= 1.0 + 1e-12))
+    assert np.all(every.column("q2002") >= -1.0)
+    gain = kind in (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE)
+    assert not np.isnan(single.column("share1")).any()  # the launched photon is always there
+    for curve in (every, single) if gain else (single,):
+        share1, share2 = curve.column("share1"), curve.column("share2")
+        defined = ~np.isnan(share1)  # the spontaneous shares are 0/0 at zeta = 0
+        assert np.all(share1[defined] + share2[defined] == 1.0)
+        if gain and magnitude >= 1.1:
+            # the larger share belongs to guide 1 when gamma < 0
+            small, large = asymptotic_shares(p.gamma)
+            far = (large, small) if p.gamma < 0.0 else (small, large)
+            assert np.allclose((share1[-1], share2[-1]), far, rtol=0.0, atol=1e-9)
+
+
+def test_curve_keeps_a_read_only_copy_of_the_grid():
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    grid = np.linspace(0.1, 1.0, 4)
+    curve = sample_curve(p, Kind.GAIN_LOSS, "spont", grid)
+    grid[0] = 99.0
+    assert curve.zetas is not grid and curve.zetas[0] == 0.1
+    with pytest.raises(ValueError):
+        curve.zetas[0] = 1.0
+
+
+def test_raw_values_past_the_float_range():
+    # gain-gain gamma 3 grows like e^{17.7 zeta}: raw numbers pass 1e308 near zeta 40
+    p = params_for(Kind.GAIN_GAIN, 3.0)
+    for raw in (vacuum_moments, single_photon_numbers, noon_photon_numbers, noon_two_point):
+        with pytest.raises(OverflowError, match="zeta=300$"):
+            raw(p, Kind.GAIN_GAIN, 300.0, max_magnitude=None)
+    with pytest.raises(OverflowError):  # a two-point moment carries the envelope twice
+        noon_two_point(p, Kind.GAIN_GAIN, 30.0, max_magnitude=None)
+    assert math.isfinite(noon_photon_numbers(p, Kind.GAIN_GAIN, 30.0, max_magnitude=None).n1)
+    grid = np.array([1.0, 300.0])
+    curve = sample_curve(p, Kind.GAIN_GAIN, "all", grid, max_magnitude=None)
+    assert curve.gaps == [(1, "raw photon numbers leave the floating-point range at zeta=300.0")]
+    for name in curve.columns:
+        assert math.isfinite(curve.column(name)[0])
+        assert math.isnan(curve.column(name)[1]) == (name in ("n1", "n2", "n12_re", "n12_im"))
 
 
 def test_curve_columns_are_read_only():
