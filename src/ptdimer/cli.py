@@ -9,8 +9,11 @@ Three subcommands:
 Sweeps write a single CSV with one row per propagation distance: a leading
 '#' metadata line (kind, gamma, beta, nr, g, observable), a header row, then
 17-significant-digit values separated by commas.  Identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 runtime failure (I/O, a failed
-verify, moments breaking a bound, distances too large to exponentiate), 2 usage error.
+byte-identical files.  A sweep reaches at most MAX_ZETA = 1e8 coupling lengths,
+where the phase Omega zeta still carries about 8 digits.  Exit codes: 0 success,
+1 runtime failure (I/O, a failed verify, moments breaking a bound), 2 usage
+error (a bad option or config value, --zeta-max past MAX_ZETA); a usage error
+prints one 'usage error:' line and writes no file.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .configurations import Kind, effective_params, preset_realization
 from .core import EffectiveParams
 from .observables import (
     CURVE_COLUMNS,
+    MAX_ZETA,
     ZERO_UNDEFINED,
     ObservableCurve,
     sample_curve,
@@ -159,6 +163,8 @@ def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
         raise UsageError(f"zeta-min must be finite and non-negative, got {run.zeta_min}")
     if not (math.isfinite(run.zeta_max) and run.zeta_max > run.zeta_min):
         raise UsageError(f"zeta-max must exceed zeta-min, got {run.zeta_max}")
+    if run.zeta_max > MAX_ZETA:
+        raise UsageError(f"zeta-max must be at most {MAX_ZETA:g}, got {run.zeta_max}")
     if run.zeta_min == 0.0 and run.observable in ZERO_UNDEFINED:
         raise UsageError(
             f"observable {run.observable!r} is undefined at zeta=0; use zeta-min > 0"

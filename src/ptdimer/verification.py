@@ -36,6 +36,7 @@ from .observables import launch_moments, moment_bundle, sample_curve, with_envel
 
 GRID_GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 GRID_ZETAS = (0.5, 1.0, 2.0, 5.0)
+ORACLE_STEP = 4e-4
 
 PROPAGATOR_STRUCTURE_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -181,22 +182,15 @@ _TWO_PHOTON_STATE = ("two-photon mean numbers [{device}]", (0, 1))
 _TWO_PHOTON_KINDS = (Kind.GAIN_LOSS, Kind.GAIN_GAIN)
 
 
-def _oracle_checks(
-    report: VerificationReport,
-    tolerance: float,
-    oracle_step: float,
-    magnitudes: tuple[float, ...],
-    zetas: tuple[float, ...],
-) -> None:
+def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
     """Compare the full moment matrix of each launch state with the moment oracle.
 
     Every reachable device gets one moment bundle on the distance marks; the
     two-photon state is checked on the gain-loss and gain-gain devices of the
     first magnitude.
     """
-    marks = tuple(sorted(zetas))
     for kind in Kind:
-        for number, magnitude in enumerate(magnitudes):
+        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES):
             states = _LAUNCH_STATES
             if number == 0 and kind in _TWO_PHOTON_KINDS:
                 states += (_TWO_PHOTON_STATE,)
@@ -204,11 +198,11 @@ def _oracle_checks(
                 realization = realization_for_gamma(kind, gamma)
                 params = effective_params(realization)
                 dp = drift_and_pump(realization)
-                bundle = moment_bundle(params, kind, np.array(marks))
+                bundle = moment_bundle(params, kind, np.array(GRID_ZETAS))
                 frame = np.exp(-2.0 * params.beta * bundle.zetas)
                 device = f"{kind.value} gamma={params.gamma:+.2f}"
                 initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in states])
-                oracle = integrate_moments_path(initial, dp, marks, step=oracle_step)
+                oracle = integrate_moments_path(initial, dp, GRID_ZETAS, step=ORACLE_STEP)
                 for (name, ports), path in zip(states, np.stack(oracle, axis=1)):
                     gaps = np.abs(with_envelope(bundle, launch_moments(bundle, ports)) - path)
                     worst = float(np.max(gaps.max(axis=(1, 2)) * frame))
@@ -224,15 +218,11 @@ def _production_column(
     return curve.column(observable)
 
 
-def _correlation_checks(
-    report: VerificationReport,
-    tolerance: float,
-    magnitudes: tuple[float, ...],
-) -> None:
+def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
     # NaN (a gap) propagates through np.max and fails the check
     bounds = [0.0]
     for kind in (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE):
-        for gamma in _signed_gammas(kind, magnitudes):
+        for gamma in _signed_gammas(kind, GRID_GAMMA_MAGNITUDES):
             q = _production_column(kind, gamma, "q00", (0.3, 1.7, 4.1))
             bounds.extend(np.maximum(-q, q - 1.0))
     report.checks.append(
@@ -248,24 +238,19 @@ def _correlation_checks(
     )
 
 
-def run_verification(
-    tolerance: float = 1e-7,
-    *,
-    oracle_step: float = 4e-4,
-    gamma_magnitudes: tuple[float, ...] = GRID_GAMMA_MAGNITUDES,
-    zetas: tuple[float, ...] = GRID_ZETAS,
-) -> VerificationReport:
+def run_verification(tolerance: float = 1e-7) -> VerificationReport:
     """Run every cross-check and return the collected report.
 
     ``tolerance`` limits the absolute disagreement between the closed-form
-    route and the fixed-step moment integration, measured after dividing out
-    the envelope exp(2 beta zeta).  Structural identities of the transfer
-    matrix use their own limits.
+    route and the moment integration at fixed step ORACLE_STEP, measured after
+    dividing out the envelope exp(2 beta zeta), over GRID_GAMMA_MAGNITUDES and
+    GRID_ZETAS.  Structural identities of the transfer matrix use their own
+    limits.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     report = VerificationReport(tolerance=tolerance)
     _structure_checks(report)
-    _oracle_checks(report, tolerance, oracle_step, gamma_magnitudes, zetas)
-    _correlation_checks(report, tolerance, gamma_magnitudes)
+    _oracle_checks(report, tolerance)
+    _correlation_checks(report, tolerance)
     return report

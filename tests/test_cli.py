@@ -119,6 +119,24 @@ def test_steps_above_cap_rejected_before_the_grid(tmp_path, monkeypatch, capsys,
     assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
 
 
+@pytest.mark.parametrize("zeta_max", ["100000000.00000001", "1e20", "1e50"])
+def test_sweep_past_max_zeta_is_a_usage_error(tmp_path, monkeypatch, capsys, zeta_max):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--kind", "passive-loss", "--observable", "single", "--zeta-min", "1"]
+    assert main(argv + ["--zeta-max", zeta_max, "--out", "far.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: zeta-max must be at most 1e+08, got {float(zeta_max)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_reaches_max_zeta(tmp_path):
+    out = tmp_path / "far.csv"
+    argv = ["sweep", "--kind", "passive-loss", "--observable", "single", "--zeta-min", "1"]
+    assert main(argv + ["--zeta-max", "1e8", "--steps", "5", "--out", str(out)]) == 0
+    _, _, data = read_csv(out)
+    assert data[-1, 0] == 1e8 and np.all(data[:, 3] + data[:, 4] == 1.0)
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(
@@ -222,19 +240,14 @@ def test_figure_rejects_unknown_id():
         main(["figure", "fig9"])
 
 
-def test_verify_passes_at_default_tolerance_on_small_grid(capsys):
-    # the full grid is exercised by the acceptance suite; keep this quick
-    report = ptdimer.verification.run_verification(
-        1e-7, gamma_magnitudes=(0.5,), zetas=(0.5, 1.5)
-    )
+def test_verify_passes_at_default_tolerance(capsys):
+    report = ptdimer.verification.run_verification(1e-7)
     assert report.ok
     assert len(report.failures) == 0
 
 
 def test_verify_fails_at_impossible_tolerance():
-    report = ptdimer.verification.run_verification(
-        1e-15, gamma_magnitudes=(0.5,), zetas=(0.5, 1.5)
-    )
+    report = ptdimer.verification.run_verification(1e-15)
     assert not report.ok
     text = report.describe()
     assert "FAIL" in text
@@ -262,35 +275,41 @@ def test_verify_detects_corrupted_propagator(monkeypatch):
         return ptdimer.core.hamiltonian(n) * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
     monkeypatch.setattr(ptdimer.observables, "hamiltonian", skewed)
-    report = ptdimer.verification.run_verification(
-        1e-7, gamma_magnitudes=(0.5,), zetas=(0.5, 1.0)
-    )
+    report = ptdimer.verification.run_verification(1e-7)
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)
 
 
 def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
-    # halve only the off-diagonal stimulated products conj(V_1p) V_2p and
-    # conj(V_2p) V_1p, which feed the N00N interference term of q2002; the
-    # photon numbers stay intact, so only full moment matrices can notice
-    moment_bundle = ptdimer.observables.moment_bundle
+    # halve only the off-diagonal stimulated moments conj(V_1p) V_2p and
+    # conj(V_2p) V_1p, the sandwiches formed from a bundle's products, which
+    # feed the N00N interference term of q2002; the vacuum moments (formed
+    # inside moment_bundle) and the photon numbers stay intact, so only full
+    # moment matrices can notice
+    moment_bundle, sandwich = ptdimer.observables.moment_bundle, ptdimer.observables._sandwich
+    products = []
 
-    def halved(*args, **kwargs):
+    def recorded(*args, **kwargs):
         bundle = moment_bundle(*args, **kwargs)
-        transfer = bundle.transfer.copy()
-        transfer[:, 1:3, :] *= 0.5
-        return dataclasses.replace(bundle, transfer=transfer)
+        products.append(bundle.products)
+        return bundle
+
+    def halved(weights, x, h):
+        moments = sandwich(weights, x, h)
+        if any(weights is stimulated for stimulated in products):
+            moments = moments * np.array([[1.0, 0.5], [0.5, 1.0]])
+        return moments
 
     for module in (ptdimer.observables, ptdimer.verification):
-        monkeypatch.setattr(module, "moment_bundle", halved)
-    report = ptdimer.verification.run_verification(
-        1e-7, gamma_magnitudes=(0.5,), zetas=(0.5, 1.0)
-    )
+        monkeypatch.setattr(module, "moment_bundle", recorded)
+    monkeypatch.setattr(ptdimer.observables, "_sandwich", halved)
+    report = ptdimer.verification.run_verification(1e-7)
     assert not report.ok
     assert any(
         "moment oracle" in check.name or "two-photon mean numbers" in check.name
         for check in report.failures
     )
+    assert not any(check.name.endswith("vacuum") for check in report.failures)
 
 
 def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -20,6 +20,7 @@ from ptdimer.core import EffectiveParams, expm, propagator
 from ptdimer.observables import (
     CURVE_COLUMNS,
     GROWTH_GUARD_MAX,
+    MAX_ZETA,
     DecayedFieldError,
     GrowthGuardError,
     NoSpontaneousFieldError,
@@ -176,6 +177,36 @@ def test_lossless_noon_two_point_interference():
         value = noon_two_point(p, Kind.GAIN_LOSS, zeta)
         expected = 4.0 * (math.sin(zeta) * math.cos(zeta)) ** 2
         assert np.isclose(value, expected, rtol=1e-12, atol=1e-14)
+
+
+@given(
+    st.sampled_from(list(Kind)),
+    st.floats(0.0, 4.0, exclude_min=True),
+    st.booleans(),
+    st.floats(0.0, 20.0),
+)
+@example(Kind.LOSS_LOSS, 0.5035250583094261, False, 20.0)  # c = cos(Omega zeta) near 9e-4
+@settings(max_examples=200, deadline=None)
+def test_noon_two_point_matches_propagator_formula(kind, magnitude, positive, zeta):
+    # the same coincidence moment built from V = e^{beta zeta} U and its products:
+    # |(V V^T)_12|^2 + n1 n2 + |n12|^2 + n1 S22 + n2 S11 + 2 Re(n12 S21), S = conj(V) V^T
+    two_signed = kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS)
+    p = params_for(kind, magnitude if positive and two_signed else -magnitude)
+    assume(4.0 * (p.beta + abs(p.omega.imag)) * zeta <= 700.0)  # e^{2 c zeta} within range
+    v = math.exp(p.beta * zeta) * propagator(p.n, zeta)
+    s = v.conj() @ v.T
+    vm = vacuum_moments(p, kind, zeta, max_magnitude=None)
+    terms = (
+        abs((v @ v.T)[0, 1]) ** 2,
+        vm.n1 * vm.n2,
+        abs(vm.n12) ** 2,
+        vm.n1 * s[1, 1].real,
+        vm.n2 * s[0, 0].real,
+        2.0 * (vm.n12 * s[1, 0]).real,
+    )
+    value = noon_two_point(p, kind, zeta, max_magnitude=None)
+    # subnormal values carry no relative accuracy: allow the smallest normal float
+    assert abs(value - sum(terms)) <= 1e-10 * max(map(abs, terms)) + np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +454,17 @@ def test_degenerate_gain_loss_moments_are_exact_polynomials(zeta):
 
 
 def test_decayed_field_transfer_matches_propagator():
-    # far out on a lossy device the products conj(V) (x) V decay to about
-    # 1e-44; they must keep their relative accuracy, not turn into round-off
+    # far out on a lossy device the stimulated moments conj(V_ip) V_jp decay to
+    # about 1e-44; they must keep their relative accuracy, not turn into round-off
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
     bundle = moment_bundle(p, Kind.PASSIVE_LOSS, grid)
-    for zeta, transfer in zip(grid, with_envelope(bundle, bundle.transfer)):
-        u = propagator(p.n, zeta)
-        want = math.exp(2.0 * p.beta * zeta) * np.kron(u.conj(), u)
-        assert np.allclose(transfer, want, rtol=1e-8, atol=0.0), zeta
+    for port in (0, 1):  # no pump: the launch moments are the stimulated ones alone
+        launched = with_envelope(bundle, launch_moments(bundle, (port,)))
+        for zeta, moments in zip(grid, launched):
+            u = propagator(p.n, zeta)[:, port]
+            want = math.exp(2.0 * p.beta * zeta) * np.outer(u.conj(), u)
+            assert np.allclose(moments, want, rtol=1e-8, atol=0.0), (port, zeta)
     curve = sample_curve(p, Kind.PASSIVE_LOSS, "single", grid)
     assert curve.gaps == []
 
@@ -488,7 +521,8 @@ def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
     real, real_stack = _bundle_and_stack(p, kind, np.array([zeta]))
     cplx, cplx_stack = _bundle_and_stack(twin, kind, np.array([zeta]))
     assert real_stack.dtype == np.float64 and cplx_stack.dtype == np.complex128
-    pairs = ((launch_moments(real, ()), launch_moments(cplx, ())), (real.transfer, cplx.transfer))
+    pairs = [(real.products, cplx.products)]
+    pairs += [(launch_moments(real, ports), launch_moments(cplx, ports)) for ports in ((), (0,), (1,))]
     for ours, reference in pairs:
         assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -535,6 +569,37 @@ def test_ratios_keep_their_bounds_at_any_distance(kind, magnitude, positive, zet
             small, large = asymptotic_shares(p.gamma)
             far = (large, small) if p.gamma < 0.0 else (small, large)
             assert np.allclose((share1[-1], share2[-1]), far, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_far_grids_evaluate_up_to_max_zeta(kind):
+    # the phase Omega zeta keeps about 8 digits at MAX_ZETA: no point may raise
+    # or warn, whatever the kind, observable or inversion
+    grid = np.geomspace(1.0, MAX_ZETA, 33)
+    magnitudes = (0.05, 0.2, 0.5, 0.9, 0.99, 1.0, 1.01, 1.2, 2.0, 4.0)
+    signs = (-1.0, 1.0) if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS) else (-1.0,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (sign * magnitude for magnitude in magnitudes for sign in signs):
+            p = params_for(kind, gamma)
+            for observable in CURVE_COLUMNS:
+                curve = sample_curve(p, kind, observable, grid)
+                if observable in ("single", "noon_n"):  # launched photons are always there
+                    assert not np.isnan(curve.column("share1")).any()
+
+
+def test_distances_past_max_zeta_are_rejected():
+    p = params_for(Kind.PASSIVE_LOSS, -0.5)
+    for far in (np.nextafter(MAX_ZETA, math.inf), 1e20, 1e50, math.inf):
+        with pytest.raises(ValueError, match="MAX_ZETA"):
+            sample_curve(p, Kind.PASSIVE_LOSS, "single", np.array([1.0, far]))
+        for point in (vacuum_moments, single_photon_numbers, noon_photon_numbers, noon_two_point):
+            with pytest.raises(ValueError, match="MAX_ZETA"):
+                point(p, Kind.PASSIVE_LOSS, far)
+        for ratio in (q_vacuum, q_noon):
+            with pytest.raises(ValueError, match="MAX_ZETA"):
+                ratio(params_for(Kind.GAIN_LOSS, -0.5), Kind.GAIN_LOSS, far)
+    assert math.isfinite(noon_two_point(p, Kind.PASSIVE_LOSS, MAX_ZETA))
 
 
 def test_curve_keeps_a_read_only_copy_of_the_grid():
