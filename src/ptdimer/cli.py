@@ -42,7 +42,7 @@ from .verification import run_verification
 
 GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 DEFAULT_FIGURE_STEPS = 300
-# sample_curve holds every grid point at once (a peak of about 2.7 kB each,
+# sample_curve holds every grid point at once (a peak of about 1.1 kB each,
 # 64 bytes kept), so a mistyped --steps must fail before the grid is built
 MAX_STEPS = 100_000
 

@@ -41,17 +41,14 @@ REGIME_TOL = 1e-12
 # Residual allowed in the omega**2 = 1 + n**2 consistency check.
 _OMEGA_CONSISTENCY_TOL = 1e-12
 
-# Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp
-# (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-# Scaled norms up to this keep the degree-13 backward error below unit
-# round-off, and 1 / |c_27| of its leading error term (Al-Mohy and Higham 2009).
-_PADE13_THETA = 4.25
-_PADE13_ERROR_COEFF = 113250775606021113483283660800000000.0
+# Degree of the truncated Taylor series, and the largest scaled norm at which its
+# backward error stays below unit round-off (A. H. Al-Mohy and N. J. Higham,
+# SIAM J. Sci. Comput. 33(2), 2011, Table 3.1).
+_TAYLOR_DEGREE = 30
+_TAYLOR_THETA = 3.539666349
+# Ceiling of the scaled distance x = t ||a|| 2**-s whatever the powers: x^30 / 30!
+# stays finite up to about 2.3e11, so a nearly nilpotent a of large norm is squared too.
+_TAYLOR_MAX_X = 1e11
 
 
 class Regime(enum.Enum):
@@ -104,63 +101,51 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _extra_squarings(a: np.ndarray) -> np.ndarray:
-    """Al-Mohy and Higham's correction ell(A) to the squaring count, per matrix.
+def expm(a: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(t_i a) for one (n, n) matrix on a grid t, or for a stack (k, n, n) with one t_i each.
 
-    It bounds the degree-13 backward error of an already scaled A through
-    || |A|^27 ||_1 and adds the squarings that bring it to unit round-off.
-    """
-    p = np.abs(a)
-    p2 = p @ p
-    p8 = (p2 @ p2) @ (p2 @ p2)
-    norm27 = _norm1((p8 @ p8) @ p8 @ p2 @ p)  # 27 = 16 + 8 + 2 + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = norm27 / (_norm1(a) * _PADE13_ERROR_COEFF)
-        ell = np.ceil(np.log2(alpha / 2.0**-53) / 26.0)
-    return np.where(norm27 > 0.0, np.maximum(ell, 0.0), 0.0)
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of each matrix in a stack (k, n, n), or of one (n, n) matrix.
-
-    Scaling and squaring with the degree-13 Pade approximant, Algorithm 3.1 of
-    A. H. Al-Mohy and N. J. Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009,
-    with exact 1-norms.  Each matrix is scaled by its own 2**-s and squared s
-    times, so a matrix comes out the same, bit for bit, whatever stack it is
-    part of; a zero matrix gives the identity exactly.  Raises OverflowError
-    where no finite squaring count exists (non-finite entries, or |A|^27 past
-    the float range).
+    Truncated Taylor series of degree 30 with scaling and squaring (A. H. Al-Mohy
+    and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011).  The powers of a, divided
+    by the power of two at or above ||a||_1 (exactly, and so they cannot
+    overflow), are formed once per matrix.  As ||(t a)^p||_1 = |t|^p ||a^p||_1,
+    the squaring count s of each point follows from scalars: the smallest
+    alpha_p = max(d_p, d_{p+1}), d_p = ||a^p||_1^(1/p), over p >= 2 with
+    p (p - 1) <= 31, times |t| and 2**-s, must not pass theta_30.  Each point's polynomial is its
+    own product of 31 coefficients with the powers, squared s times, so a point
+    comes out the same, bit for bit, whatever grid or stack it is part of; t = 0
+    and a zero matrix give the identity exactly.  Raises OverflowError where no
+    finite squaring count exists (non-finite entries or t, or a 1-norm past the
+    float range).
     """
     a = np.asarray(a)
-    stack = a.reshape((-1,) + a.shape[-2:])
-    a2 = stack @ stack
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    # eta_5 = min(max(d6, d8), max(d8, d10)) with d_p = ||A^p||_1^(1/p)
-    d6 = _norm1(a6) ** (1.0 / 6.0)
-    d8 = _norm1(a4 @ a4) ** (1.0 / 8.0)
-    d10 = _norm1(a4 @ a6) ** (1.0 / 10.0)
-    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
-    with np.errstate(divide="ignore"):
-        s = np.maximum(np.ceil(np.log2(eta / _PADE13_THETA)), 0.0)
-    s = s + _extra_squarings(stack * np.exp2(-s)[:, None, None])
+    t = np.asarray(t, dtype=float)
+    size = a.shape[-1]
+    # a power of two at or above the 1-norm, so that a / norm is exact
+    norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
+    with np.errstate(all="ignore"):  # non-finite input ends in a non-finite s
+        b = a / norm[..., None, None]
+        powers = np.stack([np.broadcast_to(np.eye(size, dtype=a.dtype), a.shape), b], axis=-3)
+        while powers.shape[-3] <= _TAYLOR_DEGREE:  # b^0 .. b^(k-1) times b^k give b^k .. b^(2k-1)
+            step = powers[..., -1:, :, :] @ b[..., None, :, :]
+            powers = np.concatenate([powers, powers @ step], axis=-3)
+        powers = powers[..., : _TAYLOR_DEGREE + 1, :, :]
+        d = _norm1(powers[..., 2:8, :, :]) ** (1.0 / np.arange(2, 8))
+        alpha = np.maximum(d[..., :-1], d[..., 1:]).min(axis=-1)
+        rate = norm * np.maximum(alpha / _TAYLOR_THETA, 1.0 / _TAYLOR_MAX_X)
+        s = np.maximum(np.ceil(np.log2(np.abs(t) * rate)), 0.0)
     if not np.all(np.isfinite(s)):
         raise OverflowError("matrix exponential needs finite matrices of moderate norm")
 
-    scale = np.exp2(-s)[:, None, None]
-    x, x2, x4, x6 = stack * scale, a2 * scale**2, a4 * scale**4, a6 * scale**6
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    u = x @ (
-        x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye
-    )
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
+    x = t * norm * np.exp2(-s)
+    coeffs = np.ones(x.shape + (_TAYLOR_DEGREE + 1,))
+    coeffs[..., 1:] = np.cumprod(x[..., None] / np.arange(1.0, _TAYLOR_DEGREE + 1), axis=-1)
+    stacked = powers.reshape(a.shape[:-2] + (_TAYLOR_DEGREE + 1, size * size))
+    r = (coeffs[..., None, :] @ stacked).reshape((-1, size, size))
+    s = s.reshape(-1)
     for done in range(int(s.max(initial=0.0))):
         short = s > done
         r[short] = r[short] @ r[short]
-    r[~stack.any(axis=(1, 2))] = eye
-    return r.reshape(a.shape)
+    return r.reshape(x.shape + (size, size))
 
 
 def propagator(n: complex, zeta: float) -> np.ndarray:

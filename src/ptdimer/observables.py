@@ -32,11 +32,12 @@ e^{2 beta zeta} y and Y = Int_0^zeta e^{2 beta t} y dt (C. F. Van Loan, IEEE TAC
 Unlike H, which is defective at the degeneracy 1 + n^2 = 0, B stays well
 conditioned there, so the moments keep their accuracy next to it; for n = i gamma
 B is real, and so is the block, exponentiated in real arithmetic.  The whole
-grid is one stack for ``core.expm``, a batched scaling-and-squaring exponential
-(Al-Mohy and Higham 2009) that scales and squares each matrix by its own
-count: a grid point equals the same point evaluated alone, bit for bit, and
-decayed products keep their accuracy.  The route uses H and the pump weights
-only, never the moment equation of ``moments``.
+grid is one call expm(G, zetas) of ``core.expm``, a truncated Taylor series
+with scaling and squaring (Al-Mohy and Higham 2011) that forms the powers of G
+once and scales and squares each point by its own count: a grid point equals
+the same point evaluated alone, bit for bit, and decayed products keep their
+accuracy.  The route uses H and the pump weights only, never the moment
+equation of ``moments``.
 
 The moments grow like e^{c zeta}, c = 2 (beta + |Im Omega|), so the block is
 exponentiated shifted, expm(zeta (G - c I)) = e^{-c zeta} expm(zeta G) (Higham,
@@ -221,8 +222,7 @@ def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> Mom
     generator[:4, :4] -= 2.0 * abs(params.omega.imag) * np.eye(4)
     generator[0, 4] = 1.0
     generator[4, 4] = -max(rate, 0.0)
-    with np.errstate(all="ignore"):  # expm raises OverflowError where no scaling is finite
-        blocks = expm(zetas[:, None, None] * generator)
+    blocks = expm(generator, zetas)
     moments = _sandwich(blocks[:, :4, 4], w, h)
     n12 = moments[:, 0, 1]
     n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
@@ -502,7 +502,8 @@ def _curve_columns(
 ) -> dict[str, np.ndarray]:
     """Every CSV column of ``observable``; raw columns are NaN where not ``raw_ok`` or finite."""
     names = CURVE_COLUMNS[observable]
-    n1, n2 = _photon_numbers(bundle, _INPUT_PORTS[observable])
+    ports = _INPUT_PORTS[observable]
+    n1, n2 = _photon_numbers(bundle, ports)
     frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
     raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
     raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
@@ -511,7 +512,7 @@ def _curve_columns(
     columns["share2"] = 1.0 - columns["share1"]
     columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
     if "q2002" in names:  # the only column that needs the N00N numbers
-        noon1, noon2 = _photon_numbers(bundle, (0, 1))
+        noon1, noon2 = (n1, n2) if ports == (0, 1) else _photon_numbers(bundle, (0, 1))
         columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
     return {name: columns[name] for name in names}
 

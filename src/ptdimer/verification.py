@@ -14,8 +14,8 @@ cross moment included, is compared with the oracle, which integrates every
 launch state of a device in one call.  The correlation checks read the
 production q00 and q2002 columns.  The module also exercises the structural
 identities the transfer matrix must satisfy on its own (determinant,
-composition, the degenerate limit, agreement with ``core.expm``, the batched
-matrix exponential, on exp(i zeta H)).
+composition, the degenerate limit, agreement with ``core.expm``, the Taylor
+scaling-and-squaring exponential, on exp(i zeta H), one zeta per sample).
 
 Growing and decaying solutions are compared after dividing out the common
 envelope exp(2 beta zeta), so the reported absolute deviations stay
@@ -111,7 +111,8 @@ def _structure_checks(report: VerificationReport) -> None:
             n = complex(n.real, 0.0)  # lossless devices must stay unitary
         za, zb = rng.uniform(0.05, 2.5, size=2)
         samples.append((n, za, zb))
-    references = expm(np.array([1j * za * hamiltonian(n) for n, za, _ in samples]))
+    generators = np.array([1j * hamiltonian(n) for n, _, _ in samples])
+    references = expm(generators, np.array([za for _, za, _ in samples]))
     worst_det = worst_semi = worst_expm = worst_unitary = 0.0
     for (n, za, zb), reference in zip(samples, references):
         ua = propagator(n, za)

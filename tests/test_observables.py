@@ -369,6 +369,23 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
             assert on_grid.tobytes() == np.float64(alone.column(name)[0]).tobytes()
 
 
+@pytest.mark.parametrize(
+    "observable, launches",
+    [("q2002", [(0, 1)]), ("noon_n", [(0, 1)]), ("all", [(), (0, 1)]), ("single", [(0,)])],
+)
+def test_curve_forms_each_launch_once(monkeypatch, observable, launches):
+    seen = []
+    counted = observables._photon_numbers
+    monkeypatch.setattr(
+        observables,
+        "_photon_numbers",
+        lambda bundle, ports: seen.append(ports) or counted(bundle, ports),
+    )
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    sample_curve(p, Kind.GAIN_LOSS, observable, np.linspace(0.1, 2.0, 5))
+    assert sorted(seen) == launches
+
+
 def test_sample_curve_rejects_bad_grid():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     with pytest.raises(ValueError):
@@ -436,7 +453,6 @@ def test_vacuum_moments_validation():
     assert vm.n1 == 0.0
 
 
-
 @pytest.mark.parametrize("zeta", [10.0, 300.0, 1000.0])
 def test_degenerate_gain_loss_moments_are_exact_polynomials(zeta):
     # at gamma = -1, beta = 0: V = I + i H t with H nilpotent, so with w1 = 2
@@ -473,33 +489,110 @@ def test_decayed_field_transfer_matches_propagator():
 # the batched matrix exponential
 
 
-def _generators(monkeypatch, kind, gamma):
-    """The stack of block generators moment_bundle exponentiates, zeta <= 300 within range."""
-    p = params_for(kind, gamma)
-    grid = np.linspace(0.0, 300.0, 31)
-    grid = grid[2.0 * (p.beta + abs(p.omega.imag)) * grid < 650.0]
+def _generator(monkeypatch, kind, gamma, grid):
+    """The block generator moment_bundle exponentiates, and the grid it goes with."""
     seen = []
-    monkeypatch.setattr(observables, "expm", lambda a: seen.append(a) or expm(a))
-    moment_bundle(p, kind, grid)
+    monkeypatch.setattr(observables, "expm", lambda a, t: seen.append((a, t)) or expm(a, t))
+    moment_bundle(params_for(kind, gamma), kind, grid)
     return seen[0]
 
 
 @pytest.mark.parametrize("magnitude", [0.2, 0.5, 0.98, 1.0, 1.02, 2.0, 4.0])
 @pytest.mark.parametrize("kind", [Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE])
 def test_expm_matches_scipy_on_moment_generators(monkeypatch, kind, magnitude):
-    # every column, relative to its largest entry
-    stack = _generators(monkeypatch, kind, -magnitude)
-    ours = expm(stack)
-    for block, reference in zip(ours, map(scipy_expm, stack)):
+    # every column, relative to its largest entry, zeta <= 300 within range
+    p = params_for(kind, -magnitude)
+    grid = np.linspace(0.0, 300.0, 31)
+    grid = grid[2.0 * (p.beta + abs(p.omega.imag)) * grid < 650.0]
+    generator, zetas = _generator(monkeypatch, kind, -magnitude, grid)
+    ours = expm(generator, zetas)
+    for block, reference in zip(ours, (scipy_expm(zeta * generator) for zeta in zetas)):
         columns = np.abs(reference).max(axis=0)
         assert np.all(np.abs(block - reference) <= 1e-9 * columns)
 
 
+def test_expm_of_one_matrix_and_of_zero():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert expm(a).shape == (4, 4)
+    assert np.allclose(expm(a), scipy_expm(a), rtol=1e-12, atol=1e-12 * np.abs(expm(a)).max())
+    assert np.array_equal(expm(a, 0.0), np.eye(4))
+    assert np.array_equal(expm(a, np.array([0.0, 1.0]))[0], np.eye(4))
+    assert np.array_equal(expm(np.zeros((5, 5), dtype=complex)), np.eye(5))
+    zero_on_grid = expm(np.zeros((3, 3)), np.array([0.0, 1.0, 1e8]))
+    assert np.array_equal(zero_on_grid, np.array([np.eye(3)] * 3))
+    stack = np.array([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))])
+    assert np.array_equal(expm(stack)[[0, 2]], np.array([np.eye(3), np.eye(3)]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OverflowError):
+            expm(np.full((2, 2), bad))
+        with pytest.raises(OverflowError):
+            expm(a, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_grid_point_equals_point_alone(dtype):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(5, 5)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=(5, 5))
+    grid = np.linspace(0.0, 300.0, 301)
+    on_grid = expm(a, grid)
+    assert on_grid.shape == (301, 5, 5) and on_grid.dtype == a.dtype
+    for zeta, block in zip(grid, on_grid):
+        assert np.array_equal(block, expm(a, zeta))
+    for zeta in (0.3, 2.0):
+        reference = scipy_expm(zeta * a)
+        assert np.abs(expm(a, zeta) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_expm_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2))
+    stack[7] = 0.0
+    ts = rng.uniform(0.05, 2.5, size=60)
+    ts[3] = 0.0
+    together = expm(stack, ts)
+    for a, t, block in zip(stack, ts, together):
+        assert np.array_equal(block, expm(a, t))
+
+
+def test_expm_of_norm_1e12_stays_finite():
+    # (nearly) nilpotent: vanishing powers must not let x^30 / 30! overflow
+    nilpotent = np.array([[0.0, 1e12], [0.0, 0.0]])
+    assert np.array_equal(expm(nilpotent), np.eye(2) + nilpotent)
+    # upper triangular: exp has e^{lambda} on the diagonal, 1e12 (e^0 - e^{-1e-3}) / 1e-3 above
+    a = np.array([[0.0, 1e12], [0.0, -1e-3]])
+    want = np.array([[1.0, -1e15 * math.expm1(-1e-3)], [0.0, math.exp(-1e-3)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(expm(a), want, rtol=1e-12, atol=0.0)
+        # the powers of this one itself pass the float range from the 26th on
+        assert np.array_equal(expm(a - 1e12 * np.eye(2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kind", [Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE])
+def test_expm_matches_mpmath_on_moment_generators(monkeypatch, kind):
+    # the columns the moments come from, relative to their largest entry, to 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.array([1.0, 10.0, 100.0, 1000.0])
+    for magnitude in (0.2, 0.99, 1.0, 1.01, 4.0):
+        generator, zetas = _generator(monkeypatch, kind, -magnitude, grid)
+        exact = mpmath.matrix(generator.tolist())
+        for zeta, block in zip(zetas, expm(generator, zetas)):
+            with mpmath.workdps(40):
+                reference = np.array(mpmath.expm(exact * zeta).tolist(), dtype=complex)
+            for column in (0, 4):
+                error = np.abs(block[:, column] - reference[:, column]).max()
+                scale = np.abs(reference[:, column]).max()
+                assert error <= 5e-12 * scale, (magnitude, zeta, column)
+
+
 def _bundle_and_stack(p, kind, grid):
-    """moment_bundle on a grid, and the stack of block generators it hands to expm."""
+    """moment_bundle on a grid, and the block generator it hands to expm."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(observables, "expm", lambda a: seen.append(a) or expm(a))
+        patch.setattr(observables, "expm", lambda a, t: seen.append(a) or expm(a, t))
         bundle = moment_bundle(p, kind, grid)
     return bundle, seen[0]
 
@@ -529,7 +622,7 @@ def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
 
 def test_presets_exponentiate_real_stacks(tmp_path, monkeypatch):
     dtypes = []
-    monkeypatch.setattr(observables, "expm", lambda a: dtypes.append(a.dtype) or expm(a))
+    monkeypatch.setattr(observables, "expm", lambda a, t: dtypes.append(a.dtype) or expm(a, t))
     for figure in cli.FIGURES:
         assert cli.main(["figure", figure, "--out", str(tmp_path), "--steps", "3"]) == 0
     sweep = ["sweep", "--nr", "1.7", "--g", "0.3", "--out", str(tmp_path / "s.csv")]
@@ -635,18 +728,6 @@ def test_curve_columns_are_read_only():
     for name in curve.columns:
         with pytest.raises(ValueError):
             curve.column(name)[0] = 1.0
-
-
-def test_expm_of_one_matrix_and_of_zero():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert expm(a).shape == (4, 4)
-    assert np.allclose(expm(a), scipy_expm(a), rtol=1e-12, atol=1e-12 * np.abs(expm(a)).max())
-    assert np.array_equal(expm(np.zeros((5, 5), dtype=complex)), np.eye(5))
-    stack = np.array([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))])
-    assert np.array_equal(expm(stack)[[0, 2]], np.array([np.eye(3), np.eye(3)]))
-    with pytest.raises(OverflowError):
-        expm(np.full((2, 2), math.nan))
 
 
 @given(st.floats(-1.15, 1.15).filter(lambda g: abs(g) > 0.05), st.floats(0.1, 6.0))
