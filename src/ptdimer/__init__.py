@@ -28,7 +28,6 @@ from .core import (
 from .moments import (
     DriftAndPump,
     drift_and_pump,
-    integrate_moments,
     integrate_moments_path,
     moment_ode_rhs,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "propagator",
     "DriftAndPump",
     "drift_and_pump",
-    "integrate_moments",
     "integrate_moments_path",
     "moment_ode_rhs",
     "DecayedFieldError",

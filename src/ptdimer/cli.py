@@ -175,7 +175,7 @@ def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
         raise UsageError(str(exc)) from exc
     params = effective_params(realization)
     grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
-    curve = sample_curve(params, kind, run.observable, grid)
+    curve = sample_curve(params, run.observable, grid)
     return kind, params, curve
 
 
@@ -204,7 +204,7 @@ def cmd_figure(figure_id: str, out_dir: Path, steps: int = DEFAULT_FIGURE_STEPS)
         for magnitude in GAMMA_MAGNITUDES:
             realization = preset_realization(kind, magnitude)
             params = effective_params(realization)
-            curve = sample_curve(params, kind, observable, grid)
+            curve = sample_curve(params, observable, grid)
             path = out_dir / f"{figure_id}_{kind.value}_gamma{magnitude:g}.csv"
             write_curve_csv(path, kind, params, realization.nr, realization.g, curve)
             written.append(path)

@@ -103,12 +103,10 @@ def raw_indices(realization: DimerRealization) -> tuple[complex, complex]:
 
 
 def effective_params(realization: DimerRealization) -> EffectiveParams:
-    """Effective detuning, bias, asymmetry and envelope rate of the device."""
+    """Effective detuning and bias (n, n0) of the device, from which all else follows."""
     n1, n2 = raw_indices(realization)
     two_g = 2.0 * realization.g
-    n = (n1 - n2) / two_g
-    n0 = (n1 + n2) / two_g
-    return EffectiveParams.from_detuning(n, n0)
+    return EffectiveParams((n1 - n2) / two_g, (n1 + n2) / two_g)
 
 
 def realization_for_gamma(

@@ -38,9 +38,6 @@ SINC_SERIES_THRESHOLD = 1e-4
 # classifying regimes, and |gamma| within this of one as degenerate.
 REGIME_TOL = 1e-12
 
-# Residual allowed in the omega**2 = 1 + n**2 consistency check.
-_OMEGA_CONSISTENCY_TOL = 1e-12
-
 # Degree of the truncated Taylor series, and the largest scaled norm at which its
 # backward error stays below unit round-off (A. H. Al-Mohy and N. J. Higham,
 # SIAM J. Sci. Comput. 33(2), 2011, Table 3.1).
@@ -166,39 +163,37 @@ def propagator(n: complex, zeta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Dimensionless parameters of one dimer instance.
+    """Dimensionless parameters of one dimer instance, fixed by (n, n0).
 
     n      effective index detuning, (n1 - n2) / (2 g)
     n0     effective bias index, (n1 + n2) / (2 g); a common phase plus the
            global gain/loss envelope
-    gamma  gain-loss asymmetry, Im(n) for purely imaginary detuning
-    beta   global envelope rate, -Im(n0); photon numbers carry exp(2 beta zeta)
-    omega  dispersion(n)
+
+    Everything else is derived, never stored: gamma = Im(n), the gain-loss
+    asymmetry; beta = -Im(n0), the global envelope rate (photon numbers carry
+    exp(2 beta zeta)); omega = dispersion(n).
     """
 
     n: complex
     n0: complex
-    gamma: float
-    beta: float
-    omega: complex
 
     def __post_init__(self) -> None:
-        _require_finite(self.n, "n")
-        _require_finite(self.n0, "n0")
-        _require_finite(self.omega, "omega")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
-            raise ValueError("gamma and beta must be finite")
-        resid = self.omega * self.omega - (1.0 + self.n * self.n)
-        if abs(resid.real) > _OMEGA_CONSISTENCY_TOL or abs(resid.imag) > _OMEGA_CONSISTENCY_TOL:
-            raise ValueError(
-                f"omega inconsistent with detuning: omega^2 - (1 + n^2) = {resid!r}"
-            )
+        for name in ("n", "n0"):
+            value = complex(getattr(self, name))
+            _require_finite(value, name)
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_detuning(cls, n: complex, n0: complex) -> "EffectiveParams":
-        n = complex(n)
-        n0 = complex(n0)
-        return cls(n=n, n0=n0, gamma=n.imag, beta=-n0.imag, omega=dispersion(n))
+    @property
+    def gamma(self) -> float:
+        return self.n.imag
+
+    @property
+    def beta(self) -> float:
+        return -self.n0.imag
+
+    @property
+    def omega(self) -> complex:
+        return dispersion(self.n)
 
 
 def classify_regime(params: EffectiveParams) -> Regime:

@@ -33,8 +33,6 @@ import numpy as np
 
 from .configurations import DimerRealization, raw_indices
 
-DEFAULT_STEP = 1e-3
-
 # Tolerances used when validating moment matrices in tests and checks.
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -119,33 +117,22 @@ def _split_steps(zeta: float, step: float) -> tuple[int, float]:
     return count, rem
 
 
-def integrate_moments(
-    initial: np.ndarray, dp: DriftAndPump, zeta: float, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Moment matrix at distance zeta from a given initial matrix.
-
-    Classical fixed-step RK4 from 0 to zeta; the last step is shortened when
-    zeta is not a multiple of the step.  Raises OverflowError if the state
-    leaves the representable range (runaway amplification).
-    """
-    return integrate_moments_path(initial, dp, (zeta,), step)[0]
-
-
 def integrate_moments_path(
     initial: np.ndarray,
     dp: DriftAndPump,
     zetas: tuple[float, ...] | list[float],
-    step: float = DEFAULT_STEP,
+    step: float,
 ) -> list[np.ndarray]:
-    """Moment matrices at several increasing distances.
+    """Moment matrices at several increasing distances, by classical fixed-step RK4.
 
     ``initial`` is one 2x2 matrix or a stack (k, 2, 2) of them; each returned
     state has the same shape, so one call serves every launch state of a
     device (a stacked matrix agrees with its own single call to round-off).
     Each mark is integrated from zero on its own (the full steps as one
-    matrix power, then at most one shortened step), so every returned state
-    equals integrate_moments(initial, dp, mark, step) bit for bit, for any
-    marks.  Raises OverflowError if a state leaves the representable range.
+    matrix power, then the last step shortened when the mark is not a
+    multiple of ``step``), so every returned state equals the call with that
+    mark alone, bit for bit.  Raises OverflowError if a state leaves the
+    representable range (runaway amplification).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step!r}")

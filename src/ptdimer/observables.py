@@ -6,13 +6,13 @@ V(t) = e^{beta t} U(t) and the spontaneous moments it generates from vacuum,
     N(zeta) = Int_0^zeta V*(t) W V(t)^T dt,        W = diag(w1, w2),
 
 so that n1 = N11, n2 = N22 and the cross moment n12 = N12 = <a1^dag a2>.
-The per-kind pump weights w_k are fed by the amplifying guides only:
+The device is (n, n0) alone.  The pump weight w_k is the gain rate of guide k,
+as only amplifying guides inject photons; with Im(n1/g) = gamma - beta and
+Im(n2/g) = -gamma - beta,
 
-    gain-loss      (-2 gamma, 0)                  (beta = 0, gamma < 0)
-    gain-gain      (2 (beta - gamma), 2 (beta + gamma))
-    gain-passive   (-4 gamma, 0)                  (beta = -gamma)
-    passive-loss   (0, 0)
-    loss-loss      (0, 0)
+    w1 = 2 max(0, beta - gamma),        w2 = 2 max(0, beta + gamma),
+
+so a passive or lossy guide has weight zero, whichever layout reaches (n, n0).
 
 Single-photon and two-photon inputs add stimulated terms V* P V^T at the end
 point, P = diag(photons launched into each guide).  As H^2 = Omega^2 I,
@@ -42,13 +42,15 @@ equation of ``moments``.
 The moments grow like e^{c zeta}, c = 2 (beta + |Im Omega|), so the block is
 exponentiated shifted, expm(zeta (G - c I)) = e^{-c zeta} expm(zeta G) (Higham,
 Functions of Matrices, SIAM 2008, ch. 10), and the ratios (shares, q00, q2002)
-are formed envelope-free, defined at any distance.  Raw photon numbers (times
-e^{c zeta}) raise GrowthGuardError past ``max_magnitude`` (default 1e12, where a
-real device has saturated; None lifts it, a non-positive value is a ValueError).
-Past the float range a raw value is a gap on a curve, OverflowError at a point.
-Distances reach up to MAX_ZETA = 1e8, where the phase Omega zeta still carries
-about 8 digits (shares within 1.2e-9 of 60-digit arithmetic on passive-loss
--0.5, 3.3e-7 at 1e10); a longer distance is a ValueError.
+are formed envelope-free, defined at any distance.  A pumped device with c < 0
+settles to a steady state, so its block is not shifted (c = 0 there).  Raw
+photon numbers (times e^{c zeta}) raise GrowthGuardError past ``max_magnitude``
+(default 1e12, where a real device has saturated; None lifts it, a non-positive
+value is a ValueError).  Past the float range a raw value is a gap on a curve,
+OverflowError at a point.  Distances reach up to MAX_ZETA = 1e8, where the
+phase Omega zeta still carries about 8 digits (shares within 1.2e-9 of 60-digit
+arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import Kind
 from .core import EffectiveParams, expm, hamiltonian
 
 GROWTH_GUARD_MAX = 1e12
@@ -138,29 +139,10 @@ class VacuumMoments:
         object.__setattr__(self, "n12", n12)
 
 
-def vacuum_pump_weights(params: EffectiveParams, kind: Kind) -> tuple[float, float]:
-    """Pump weights (w1, w2) of the spontaneous integrals for one kind.
-
-    Each weight is the photon injection rate of the corresponding guide,
-    and must come out non-negative; a negative weight means the parameters
-    do not belong to the declared kind.
-    """
-    gamma, beta = params.gamma, params.beta
-    if kind is Kind.GAIN_LOSS:
-        weights = (-2.0 * gamma, 0.0)
-    elif kind is Kind.GAIN_GAIN:
-        weights = (2.0 * (beta - gamma), 2.0 * (beta + gamma))
-    elif kind is Kind.GAIN_PASSIVE:
-        weights = (-4.0 * gamma, 0.0)
-    elif kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
-        weights = (0.0, 0.0)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if weights[0] < 0.0 or weights[1] < 0.0:
-        raise ValueError(
-            f"negative pump rate {weights!r}: parameters inconsistent with {kind.value}"
-        )
-    return weights
+def vacuum_pump_weights(params: EffectiveParams) -> tuple[float, float]:
+    """Pump weights (w1, w2) of the spontaneous integrals: the gain rate of each guide."""
+    beta, gamma = params.beta, params.gamma
+    return 2.0 * max(0.0, beta - gamma), 2.0 * max(0.0, beta + gamma)
 
 
 def _growth_rate(params: EffectiveParams) -> float:
@@ -203,23 +185,28 @@ def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return sum(weights[:, k, None, None] * term for k, term in enumerate(terms))
 
 
-def moment_bundle(params: EffectiveParams, kind: Kind, zetas: np.ndarray) -> MomentBundle:
+def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
     """All moments on a distance grid from one stacked block exponential, envelope divided out.
 
     Raises FloatingPointError where they break a bound they must satisfy.
     """
     zetas = np.asarray(zetas, dtype=float)
-    w = np.diag(vacuum_pump_weights(params, kind))
+    w = np.diag(vacuum_pump_weights(params))
     h = hamiltonian(params.n)
     eye = np.eye(2)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
     companion = np.array([[0.0, -(omega2.real if omega2.imag == 0.0 else omega2)], [1.0, 0.0]])
     rate = _growth_rate(params)
-    # G - c I, but lossy kinds (c < 0, W = 0) keep the corner, so their unused
-    # integral column stays finite; L - c I = conj(B) (x) I + I (x) B - 2 |Im Omega| I
+    # G - c I with L - c I = conj(B) (x) I + I (x) B - 2 |Im Omega| I, but where c < 0
+    # the corner stays 0: unpumped (W = 0), the unused integral column stays finite;
+    # pumped, the moments settle to a steady state, so nothing is shifted (c = 0)
     generator = np.zeros((5, 5), dtype=companion.dtype)
     generator[:4, :4] = np.kron(companion.conj(), eye) + np.kron(eye, companion)
-    generator[:4, :4] -= 2.0 * abs(params.omega.imag) * np.eye(4)
+    if rate < 0.0 and w.any():
+        rate = 0.0
+        generator[:4, :4] += 2.0 * params.beta * np.eye(4)
+    else:
+        generator[:4, :4] -= 2.0 * abs(params.omega.imag) * np.eye(4)
     generator[0, 4] = 1.0
     generator[4, 4] = -max(rate, 0.0)
     blocks = expm(generator, zetas)
@@ -303,9 +290,7 @@ def _log_guard(max_magnitude: float | None) -> float:
     return math.log(max_magnitude)
 
 
-def _at_point(
-    params: EffectiveParams, kind: Kind, zeta: float, max_magnitude: float | None
-) -> MomentBundle:
+def _at_point(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> MomentBundle:
     """The bundle of a one-point grid, after the growth guard."""
     zeta = float(zeta)
     if not 0.0 <= zeta <= MAX_ZETA:
@@ -313,7 +298,7 @@ def _at_point(
     exponent = _growth_exponent(params, zeta)
     if exponent > _log_guard(max_magnitude):
         raise GrowthGuardError(_growth_note(exponent, max_magnitude))
-    return moment_bundle(params, kind, np.array([zeta]))
+    return moment_bundle(params, np.array([zeta]))
 
 
 def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -326,68 +311,62 @@ def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.n
 
 def vacuum_moments(
     params: EffectiveParams,
-    kind: Kind,
     zeta: float,
     *,
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> VacuumMoments:
     """Spontaneous second moments generated from vacuum at distance zeta."""
-    bundle = _at_point(params, kind, zeta, max_magnitude)
+    bundle = _at_point(params, zeta, max_magnitude)
     moments = _raw_point(bundle, launch_moments(bundle, ()))
     return VacuumMoments(moments[0, 0].real, moments[1, 1].real, moments[0, 1])
 
 
-def q_vacuum(params: EffectiveParams, kind: Kind, zeta: float) -> float:
+def q_vacuum(params: EffectiveParams, zeta: float) -> float:
     """Normalized vacuum cross-correlation q = |n12|^2 / (n1 n2).
 
     Non-negative by construction (the spontaneous fields of the two guides
     can only be bunched) and bounded by one through Cauchy-Schwarz.  Undefined
-    for passive kinds and at zeta = 0, where there is no spontaneous field.
+    where neither guide has gain and at zeta = 0: there is no spontaneous field.
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    q = _curve_point(params, kind, "q00", zeta)
+    q = _curve_point(params, "q00", zeta)
     if math.isnan(q):
-        raise NoSpontaneousFieldError(
-            f"q undefined for kind={kind.value} at zeta={zeta!r}: no spontaneous field"
-        )
+        raise NoSpontaneousFieldError(f"q undefined at zeta={zeta!r}: no spontaneous field")
     return q
 
 
 def single_photon_numbers(
     params: EffectiveParams,
-    kind: Kind,
     zeta: float,
-    port: int = 1,
     *,
+    port: int = 1,
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
-    """Mean photon numbers for one photon injected into the given guide.
+    """Mean photon numbers for one photon injected into guide ``port`` (1 or 2).
 
     Stimulated transfer e^{2 beta zeta} |U_j,port|^2 plus the spontaneous
-    background; passive kinds keep the stimulated term only.
+    background; a device without gain keeps the stimulated term only.
     """
     if port not in (1, 2):
         raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    bundle = _at_point(params, kind, zeta, max_magnitude)
+    bundle = _at_point(params, zeta, max_magnitude)
     return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (port - 1,)))))
 
 
 def noon_photon_numbers(
     params: EffectiveParams,
-    kind: Kind,
     zeta: float,
     *,
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
     """Mean photon numbers for the two-photon input (|20> + |02>)/sqrt(2)."""
-    bundle = _at_point(params, kind, zeta, max_magnitude)
+    bundle = _at_point(params, zeta, max_magnitude)
     return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (0, 1)))))
 
 
 def noon_two_point(
     params: EffectiveParams,
-    kind: Kind,
     zeta: float,
     *,
     max_magnitude: float | None = GROWTH_GUARD_MAX,
@@ -397,18 +376,18 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    bundle = _at_point(params, kind, zeta, max_magnitude)
+    bundle = _at_point(params, zeta, max_magnitude)
     return float(_raw_point(bundle, _noon_two_point(bundle), order=2))
 
 
-def q_noon(params: EffectiveParams, kind: Kind, zeta: float) -> float:
+def q_noon(params: EffectiveParams, zeta: float) -> float:
     """Normalized N00N correlation q = n1212 / (n1 n2) - 1.
 
     Exactly -1 at zeta = 0 (perfect anti-correlation of the input), at most
-    zero for passive kinds, and crossing into bunching once the spontaneous
-    background dominates in amplifying kinds.  A ratio of moments; unguarded.
+    zero without gain, and crossing into bunching once the spontaneous
+    background dominates on amplifying devices.  A ratio of moments; unguarded.
     """
-    q = _curve_point(params, kind, "q2002", zeta)
+    q = _curve_point(params, "q2002", zeta)
     if math.isnan(q):
         raise DecayedFieldError(
             f"N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
@@ -517,15 +496,14 @@ def _curve_columns(
     return {name: columns[name] for name in names}
 
 
-def _curve_point(params: EffectiveParams, kind: Kind, observable: str, zeta: float) -> float:
+def _curve_point(params: EffectiveParams, observable: str, zeta: float) -> float:
     """The last column of ``observable`` at one distance, unguarded."""
-    curve = sample_curve(params, kind, observable, np.array([float(zeta)]), max_magnitude=None)
+    curve = sample_curve(params, observable, np.array([float(zeta)]), max_magnitude=None)
     return float(curve.column(CURVE_COLUMNS[observable][-1])[0])
 
 
 def sample_curve(
     params: EffectiveParams,
-    kind: Kind,
     observable: str,
     zetas: np.ndarray,
     *,
@@ -555,7 +533,7 @@ def sample_curve(
 
     exponents = _growth_exponent(params, grid)
     raw_ok = exponents <= _log_guard(max_magnitude)
-    columns = _curve_columns(moment_bundle(params, kind, grid), observable, raw_ok)
+    columns = _curve_columns(moment_bundle(params, grid), observable, raw_ok)
 
     gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in np.flatnonzero(~raw_ok)]
     for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])):

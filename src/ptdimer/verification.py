@@ -199,7 +199,7 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
                 realization = realization_for_gamma(kind, gamma)
                 params = effective_params(realization)
                 dp = drift_and_pump(realization)
-                bundle = moment_bundle(params, kind, np.array(GRID_ZETAS))
+                bundle = moment_bundle(params, np.array(GRID_ZETAS))
                 frame = np.exp(-2.0 * params.beta * bundle.zetas)
                 device = f"{kind.value} gamma={params.gamma:+.2f}"
                 initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in states])
@@ -215,7 +215,7 @@ def _production_column(
 ) -> np.ndarray:
     """The CSV column ``observable`` of one device, unguarded."""
     params = effective_params(realization_for_gamma(kind, gamma))
-    curve = sample_curve(params, kind, observable, np.array(zetas), max_magnitude=None)
+    curve = sample_curve(params, observable, np.array(zetas), max_magnitude=None)
     return curve.column(observable)
 
 

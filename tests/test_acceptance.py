@@ -146,13 +146,13 @@ def test_criterion_3_route_equivalence():
 
 def _sorted_spont_shares(kind: Kind, magnitude: float, zeta: float):
     p = effective_params(preset_realization(kind, magnitude))
-    vm = vacuum_moments(p, kind, zeta, max_magnitude=None)
+    vm = vacuum_moments(p, zeta, max_magnitude=None)
     return sorted(renormalize(PhotonNumbers(vm.n1, vm.n2)))
 
 
 def _sorted_single_shares(kind: Kind, magnitude: float, zeta: float):
     p = effective_params(preset_realization(kind, magnitude))
-    numbers = single_photon_numbers(p, kind, zeta, 1, max_magnitude=None)
+    numbers = single_photon_numbers(p, zeta, port=1, max_magnitude=None)
     return sorted(renormalize(numbers))
 
 
@@ -227,7 +227,7 @@ def test_criterion_5_vacuum_bunching_only():
         for magnitude in GAMMA_MAGNITUDES:
             p = effective_params(preset_realization(kind, magnitude))
             for zeta in zetas:
-                lowest = min(lowest, q_vacuum(p, kind, float(zeta)))
+                lowest = min(lowest, q_vacuum(p, float(zeta)))
     ok = lowest >= BUNCHING_FLOOR
     assert _line(
         "criterion 5: vacuum correlation never dips below zero",
@@ -241,7 +241,7 @@ def test_criterion_5_vacuum_correlation_saturates():
     for kind in GAIN_KINDS:
         for magnitude in (1.0, 1.2):
             p = effective_params(preset_realization(kind, magnitude))
-            worst = max(worst, abs(q_vacuum(p, kind, 20.0) - 1.0))
+            worst = max(worst, abs(q_vacuum(p, 20.0) - 1.0))
     ok = worst <= SATURATION_TOL
     assert _line(
         "criterion 5: degenerate/broken vacuum correlation saturates to 1",
@@ -259,21 +259,21 @@ def test_criterion_6_noon_anchor_and_crossing():
     for kind in Kind:
         for magnitude in GAMMA_MAGNITUDES:
             p = effective_params(preset_realization(kind, magnitude))
-            anchor_ok = anchor_ok and q_noon(p, kind, 0.0) == -1.0
+            anchor_ok = anchor_ok and q_noon(p, 0.0) == -1.0
 
     passive_worst = -math.inf
     for kind in PASSIVE_KINDS:
         for magnitude in GAMMA_MAGNITUDES:
             p = effective_params(preset_realization(kind, magnitude))
             for zeta in np.linspace(0.0, 10.0, 200):
-                passive_worst = max(passive_worst, q_noon(p, kind, float(zeta)))
+                passive_worst = max(passive_worst, q_noon(p, float(zeta)))
     passive_ok = passive_worst <= PASSIVE_NOON_CEILING
 
     crossings = []
     for magnitude in GAMMA_MAGNITUDES:
         p = effective_params(preset_realization(Kind.GAIN_LOSS, magnitude))
         zetas = np.linspace(0.02, 10.0, 400)
-        values = [q_noon(p, Kind.GAIN_LOSS, float(z)) for z in zetas]
+        values = [q_noon(p, float(z)) for z in zetas]
         crossing = None
         for previous, current, zeta in zip(values, values[1:], zetas[1:]):
             if previous < 0.0 <= current:
@@ -298,17 +298,17 @@ def test_criterion_6_noon_anchor_and_crossing():
 
 
 def test_criterion_7_classical_reduction():
-    p = EffectiveParams.from_detuning(0.0j, 1.5 + 0.0j)
+    p = EffectiveParams(0.0j, 1.5 + 0.0j)
     worst_single = 0.0
     worst_spont = 0.0
     for zeta in np.linspace(0.0, 10.0, 101):
-        numbers = single_photon_numbers(p, Kind.GAIN_LOSS, float(zeta), 1)
+        numbers = single_photon_numbers(p, float(zeta), port=1)
         worst_single = max(
             worst_single,
             abs(numbers.n1 - math.cos(zeta) ** 2),
             abs(numbers.n2 - math.sin(zeta) ** 2),
         )
-        vm = vacuum_moments(p, Kind.GAIN_LOSS, float(zeta))
+        vm = vacuum_moments(p, float(zeta))
         worst_spont = max(worst_spont, vm.n1, vm.n2, abs(vm.n12))
     ok = worst_single <= CLASSICAL_TOL and worst_spont <= CLASSICAL_SPONT_TOL
     assert _line(

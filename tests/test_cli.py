@@ -411,3 +411,22 @@ def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_steep_gain_loss_sweep_exits_0(tmp_path, capsys):
+    # |gamma| = 120: omega^2 - (1 + n^2) rounds to 1.8e-12 here, which an absolute
+    # consistency check on a stored omega once rejected with a traceback
+    argv = ["--kind", "gain-loss", "--gamma", "-120", "--observable", "q00"]
+    code, columns = _sweep_columns(tmp_path, argv + ["--zeta-min", "0.001", "--zeta-max", "0.01"])
+    assert code == 0
+    assert columns["zeta"].size == 200
+    assert np.all((columns["q00"] >= 0.0) & (columns["q00"] <= 1.0 + 1e-12))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of the README, as a user would paste it
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out

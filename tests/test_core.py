@@ -156,16 +156,21 @@ def test_propagator_matches_matrix_exponential(n, zeta):
 # effective parameters and regimes
 
 
-def test_from_detuning_fills_derived_fields():
-    p = EffectiveParams.from_detuning(-0.5j, 1.5 - 0.25j)
+def test_effective_params_derive_gamma_beta_omega():
+    p = EffectiveParams(-0.5j, 1.5 - 0.25j)
     assert p.gamma == -0.5
     assert p.beta == 0.25
     assert np.isclose(p.omega, math.sqrt(0.75), rtol=1e-15)
-
-
-def test_effective_params_rejects_inconsistent_omega():
+    assert EffectiveParams(-120j, 1.5).omega == dispersion(-120j)
     with pytest.raises(ValueError):
-        EffectiveParams(n=-0.5j, n0=1.5 + 0.0j, gamma=-0.5, beta=0.0, omega=1.0 + 0.0j)
+        EffectiveParams(complex(math.nan, 0.5), 1.5)
+
+
+def test_effective_params_take_only_n_and_n0():
+    # gamma, beta and omega follow from (n, n0); they cannot be passed in
+    for derived in ("gamma", "beta", "omega"):
+        with pytest.raises(TypeError):
+            EffectiveParams(n=-0.5j, n0=1.5 + 0.0j, **{derived: 0.0})
 
 
 @pytest.mark.parametrize(
@@ -180,10 +185,10 @@ def test_effective_params_rejects_inconsistent_omega():
     ],
 )
 def test_classify_regime(n, expected):
-    p = EffectiveParams.from_detuning(n, 1.5 + 0.0j)
+    p = EffectiveParams(n, 1.5 + 0.0j)
     assert classify_regime(p) is expected
 
 
 def test_classify_regime_tolerates_rounding_at_degeneracy():
-    p = EffectiveParams.from_detuning(complex(0.0, 1.0 + 5e-13), 1.5 + 0.0j)
+    p = EffectiveParams(complex(0.0, 1.0 + 5e-13), 1.5 + 0.0j)
     assert classify_regime(p) is Regime.KATO

@@ -11,7 +11,6 @@ from ptdimer.moments import (
     PSD_TOL,
     DriftAndPump,
     drift_and_pump,
-    integrate_moments,
     integrate_moments_path,
     moment_ode_rhs,
 )
@@ -61,7 +60,7 @@ def test_lossless_coupler_oscillates():
     dp = lossless_coupler()
     initial = np.diag([1.0, 0.0]).astype(complex)
     for zeta in (0.3, 1.0, 2.5):
-        state = integrate_moments(initial, dp, zeta, step=1e-3)
+        state = integrate_moments_path(initial, dp, (zeta,), step=1e-3)[0]
         assert np.isclose(state[0, 0].real, math.cos(zeta) ** 2, atol=LOSSLESS_TOL)
         assert np.isclose(state[1, 1].real, math.sin(zeta) ** 2, atol=LOSSLESS_TOL)
         assert np.isclose(np.trace(state).real, 1.0, atol=LOSSLESS_TOL)
@@ -70,7 +69,7 @@ def test_lossless_coupler_oscillates():
 def test_passive_vacuum_stays_dark():
     for kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
         dp = drift_and_pump(realization_for_gamma(kind, -0.5))
-        state = integrate_moments(np.zeros((2, 2), dtype=complex), dp, 3.0)
+        state = integrate_moments_path(np.zeros((2, 2), dtype=complex), dp, (3.0,), step=1e-3)[0]
         assert np.array_equal(state, np.zeros((2, 2)))
 
 
@@ -91,10 +90,10 @@ def test_trajectory_stays_hermitian_and_psd():
 def test_fourth_order_convergence():
     dp = drift_and_pump(realization_for_gamma(Kind.GAIN_LOSS, -0.9))
     initial = np.diag([1.0, 0.0]).astype(complex)
-    fine = integrate_moments(initial, dp, 2.0, step=1e-4)
+    fine = integrate_moments_path(initial, dp, (2.0,), step=1e-4)[0]
     errors = []
     for step in (4e-2, 2e-2):
-        state = integrate_moments(initial, dp, 2.0, step=step)
+        state = integrate_moments_path(initial, dp, (2.0,), step=step)[0]
         errors.append(float(np.max(np.abs(state - fine))))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 22.0  # halving the step should buy ~2^4
@@ -104,8 +103,8 @@ def test_partial_final_step_matches_continuation():
     # a mark that is not a multiple of the step exercises the remainder step
     dp = drift_and_pump(realization_for_gamma(Kind.GAIN_PASSIVE, -0.7))
     initial = np.zeros((2, 2), dtype=complex)
-    direct = integrate_moments(initial, dp, 1.23456, step=1e-3)
-    fine = integrate_moments(initial, dp, 1.23456, step=1e-5)
+    direct = integrate_moments_path(initial, dp, (1.23456,), step=1e-3)[0]
+    fine = integrate_moments_path(initial, dp, (1.23456,), step=1e-5)[0]
     assert np.allclose(direct, fine, rtol=1e-9, atol=1e-12)
 
 
@@ -115,7 +114,7 @@ def test_path_matches_single_shot_bitwise():
     marks = (0.5, 1.0, 2.0)
     path = integrate_moments_path(initial, dp, marks, step=1e-3)
     for zeta, state in zip(marks, path):
-        single = integrate_moments(initial, dp, zeta, step=1e-3)
+        single = integrate_moments_path(initial, dp, (zeta,), step=1e-3)[0]
         assert np.array_equal(state, single)
 
 
@@ -126,7 +125,7 @@ def test_path_matches_single_shot_bitwise_off_the_step_grid():
     marks = (0.3337, 1.23456, 2.0)
     path = integrate_moments_path(initial, dp, marks, step=4e-4)
     for zeta, state in zip(marks, path):
-        single = integrate_moments(initial, dp, zeta, step=4e-4)
+        single = integrate_moments_path(initial, dp, (zeta,), step=4e-4)[0]
         assert np.array_equal(state, single)
 
 
@@ -138,7 +137,7 @@ def test_stacked_initial_states_match_per_launch_calls():
     for zeta, states in zip(marks, path):
         assert states.shape == (3, 2, 2)
         for initial, state in zip(launches, states):
-            single = integrate_moments(initial, dp, zeta, step=4e-4)
+            single = integrate_moments_path(initial, dp, (zeta,), step=4e-4)[0]
             assert np.allclose(state, single, rtol=1e-14, atol=0.0)
 
 
@@ -165,7 +164,7 @@ def test_matrix_power_matches_rk4_loop(kind, gamma, zeta):
     # 1,250 steps of 4e-4; the second mark adds a remainder step
     dp = drift_and_pump(realization_for_gamma(kind, gamma))
     for initial in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-        power = integrate_moments(initial, dp, zeta, step=4e-4)
+        power = integrate_moments_path(initial, dp, (zeta,), step=4e-4)[0]
         loop = _rk4_loop(initial, dp, zeta, step=4e-4)
         assert np.allclose(power, loop, rtol=1e-12, atol=0.0)
 
@@ -173,20 +172,20 @@ def test_matrix_power_matches_rk4_loop(kind, gamma, zeta):
 def test_path_requires_increasing_marks():
     dp = lossless_coupler()
     with pytest.raises(ValueError):
-        integrate_moments_path(np.zeros((2, 2), complex), dp, (1.0, 0.5))
+        integrate_moments_path(np.zeros((2, 2), complex), dp, (1.0, 0.5), step=1e-3)
 
 
 def test_bad_step_rejected():
     dp = lossless_coupler()
     with pytest.raises(ValueError):
-        integrate_moments(np.zeros((2, 2), complex), dp, 1.0, step=0.0)
+        integrate_moments_path(np.zeros((2, 2), complex), dp, (1.0,), step=0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runaway_amplification_overflows():
     dp = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 1.2))
     with pytest.raises(OverflowError):
-        integrate_moments(np.eye(2, dtype=complex), dp, 200.0, step=0.5)
+        integrate_moments_path(np.eye(2, dtype=complex), dp, (200.0,), step=0.5)
 
 
 def test_drift_and_pump_structure():

@@ -15,8 +15,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from ptdimer import cli, observables
-from ptdimer.configurations import Kind, effective_params, realization_for_gamma
+from ptdimer.configurations import (
+    DimerRealization,
+    Kind,
+    UnreachableGammaError,
+    effective_params,
+    realization_for_gamma,
+)
 from ptdimer.core import EffectiveParams, expm, propagator
+from ptdimer.moments import DriftAndPump, drift_and_pump, integrate_moments_path
 from ptdimer.observables import (
     CURVE_COLUMNS,
     GROWTH_GUARD_MAX,
@@ -62,22 +69,47 @@ def params_for(kind, gamma):
 
 
 def test_pump_weights_per_kind():
-    assert vacuum_pump_weights(params_for(Kind.GAIN_LOSS, -0.5), Kind.GAIN_LOSS) == (
+    assert vacuum_pump_weights(params_for(Kind.GAIN_LOSS, -0.5)) == (
         1.0,
         0.0,
     )
-    w = vacuum_pump_weights(params_for(Kind.GAIN_GAIN, -0.5), Kind.GAIN_GAIN)
+    w = vacuum_pump_weights(params_for(Kind.GAIN_GAIN, -0.5))
     assert np.allclose(w, (3.0, 1.0), rtol=1e-15)  # beta = 1.0 for this preset
-    w = vacuum_pump_weights(params_for(Kind.GAIN_PASSIVE, -0.5), Kind.GAIN_PASSIVE)
+    w = vacuum_pump_weights(params_for(Kind.GAIN_PASSIVE, -0.5))
     assert np.allclose(w, (2.0, 0.0), rtol=1e-15)
     for kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
-        assert vacuum_pump_weights(params_for(kind, -0.5), kind) == (0.0, 0.0)
+        assert vacuum_pump_weights(params_for(kind, -0.5)) == (0.0, 0.0)
 
 
-def test_pump_weights_reject_mismatched_kind():
-    # gain-loss parameters presented as gain-gain imply a negative pump
-    with pytest.raises(ValueError):
-        vacuum_pump_weights(params_for(Kind.GAIN_GAIN, 0.5), Kind.GAIN_LOSS)
+@pytest.mark.parametrize("magnitude", [0.2, 0.5, 1.0, 1.2, 4.0, 120.0])
+def test_pump_weights_match_the_oracle_pump(magnitude):
+    # written in beta and gamma, the weights equal the oracle's pump, 2 max(0, -Im n_k) / g
+    for kind in Kind:
+        for gamma in (-magnitude, magnitude):
+            try:
+                realization = realization_for_gamma(kind, gamma)
+            except UnreachableGammaError:
+                continue
+            weights = vacuum_pump_weights(effective_params(realization))
+            pump = np.diag(drift_and_pump(realization).d)
+            np.testing.assert_allclose(weights, pump, rtol=1e-14, atol=0.0)
+
+
+def test_observables_take_no_kind():
+    # the device is (n, n0) alone; a call that still passes a kind fails loudly
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    grid = np.array([0.5, 1.0])
+    calls = [
+        lambda: vacuum_pump_weights(p, Kind.GAIN_LOSS),
+        lambda: moment_bundle(p, Kind.GAIN_LOSS, grid),
+        lambda: sample_curve(p, Kind.GAIN_LOSS, "all", grid),
+        lambda: single_photon_numbers(p, Kind.GAIN_LOSS, 1.0),
+    ]
+    for point in (vacuum_moments, q_vacuum, noon_photon_numbers, noon_two_point, q_noon):
+        calls.append(lambda point=point: point(p, Kind.GAIN_LOSS, 1.0))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +118,7 @@ def test_pump_weights_reject_mismatched_kind():
 
 def test_gain_loss_vacuum_matches_oracle():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    vm = vacuum_moments(p, Kind.GAIN_LOSS, 1.0)
+    vm = vacuum_moments(p, 1.0)
     n1, n2, n12_im = GAIN_LOSS_VACUUM_Z1
     assert np.isclose(vm.n1, n1, rtol=ORACLE_RTOL)
     assert np.isclose(vm.n2, n2, rtol=ORACLE_RTOL)
@@ -96,7 +128,7 @@ def test_gain_loss_vacuum_matches_oracle():
 
 def test_gain_gain_vacuum_matches_oracle():
     p = params_for(Kind.GAIN_GAIN, -0.5)
-    vm = vacuum_moments(p, Kind.GAIN_GAIN, 0.8)
+    vm = vacuum_moments(p, 0.8)
     n1, n2, n12_im = GAIN_GAIN_VACUUM_Z08
     assert np.isclose(vm.n1, n1, rtol=ORACLE_RTOL)
     assert np.isclose(vm.n2, n2, rtol=ORACLE_RTOL)
@@ -105,35 +137,36 @@ def test_gain_gain_vacuum_matches_oracle():
 
 def test_gain_passive_single_photon_matches_oracle():
     p = params_for(Kind.GAIN_PASSIVE, -0.5)
-    numbers = single_photon_numbers(p, Kind.GAIN_PASSIVE, 1.3, 1)
+    numbers = single_photon_numbers(p, 1.3, port=1)
     assert np.isclose(numbers.n1, GAIN_PASSIVE_ONE_Z13[0], rtol=ORACLE_RTOL)
     assert np.isclose(numbers.n2, GAIN_PASSIVE_ONE_Z13[1], rtol=ORACLE_RTOL)
 
 
 def test_passive_loss_single_photon_matches_oracle():
     p = params_for(Kind.PASSIVE_LOSS, -0.5)
-    numbers = single_photon_numbers(p, Kind.PASSIVE_LOSS, 2.0, 1)
+    numbers = single_photon_numbers(p, 2.0, port=1)
     assert np.isclose(numbers.n1, PASSIVE_LOSS_ONE_Z2[0], rtol=ORACLE_RTOL)
     assert np.isclose(numbers.n2, PASSIVE_LOSS_ONE_Z2[1], rtol=ORACLE_RTOL)
 
 
 def test_passive_kinds_generate_nothing():
     for kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
-        vm = vacuum_moments(params_for(kind, -0.8), kind, 4.0)
+        vm = vacuum_moments(params_for(kind, -0.8), 4.0)
         assert vm == VacuumMoments(0.0, 0.0, 0.0j)
 
 
 def test_vacuum_moments_zero_distance():
-    vm = vacuum_moments(params_for(Kind.GAIN_LOSS, -0.5), Kind.GAIN_LOSS, 0.0)
+    vm = vacuum_moments(params_for(Kind.GAIN_LOSS, -0.5), 0.0)
     assert (vm.n1, vm.n2, vm.n12) == (0.0, 0.0, 0.0j)
 
 
 def test_gain_passive_equals_gain_gain_weight_limit():
-    # a gain-passive device is the ni2 -> 0 limit of gain-gain; the pump
-    # weights (2 beta - 2 gamma, 0) then coincide with (-4 gamma, 0)
-    p = params_for(Kind.GAIN_PASSIVE, -0.5)
-    vm_gp = vacuum_moments(p, Kind.GAIN_PASSIVE, 2.0)
-    vm_gg = vacuum_moments(p, Kind.GAIN_GAIN, 2.0)
+    # a gain-passive device is the ni2 -> 0 limit of gain-gain: the moments
+    # follow from (n, n0) alone, whichever layout reaches them
+    gain_passive = realization_for_gamma(Kind.GAIN_PASSIVE, -0.5)
+    gain_gain = DimerRealization(Kind.GAIN_GAIN, nr=1.5, g=1.0, ni1=gain_passive.ni, ni2=1e-13)
+    vm_gp = vacuum_moments(effective_params(gain_passive), 2.0)
+    vm_gg = vacuum_moments(effective_params(gain_gain), 2.0)
     assert np.isclose(vm_gp.n1, vm_gg.n1, rtol=1e-12)
     assert np.isclose(vm_gp.n2, vm_gg.n2, rtol=1e-12)
     assert np.isclose(abs(vm_gp.n12 - vm_gg.n12), 0.0, atol=1e-12)
@@ -145,26 +178,26 @@ def test_gain_passive_equals_gain_gain_weight_limit():
 
 def test_single_photon_launch_values():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    assert single_photon_numbers(p, Kind.GAIN_LOSS, 0.0, 1) == PhotonNumbers(1.0, 0.0)
-    assert single_photon_numbers(p, Kind.GAIN_LOSS, 0.0, 2) == PhotonNumbers(0.0, 1.0)
+    assert single_photon_numbers(p, 0.0, port=1) == PhotonNumbers(1.0, 0.0)
+    assert single_photon_numbers(p, 0.0, port=2) == PhotonNumbers(0.0, 1.0)
     with pytest.raises(ValueError):
-        single_photon_numbers(p, Kind.GAIN_LOSS, 1.0, 3)
+        single_photon_numbers(p, 1.0, port=3)
 
 
 def test_noon_launch_values():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    assert noon_photon_numbers(p, Kind.GAIN_LOSS, 0.0) == PhotonNumbers(1.0, 1.0)
-    assert noon_two_point(p, Kind.GAIN_LOSS, 0.0) == 0.0
-    assert q_noon(p, Kind.GAIN_LOSS, 0.0) == -1.0
+    assert noon_photon_numbers(p, 0.0) == PhotonNumbers(1.0, 1.0)
+    assert noon_two_point(p, 0.0) == 0.0
+    assert q_noon(p, 0.0) == -1.0
 
 
 def test_noon_numbers_are_sum_of_port_injections_plus_vacuum():
     p = params_for(Kind.GAIN_GAIN, 0.5)
     zeta = 1.1
-    noon = noon_photon_numbers(p, Kind.GAIN_GAIN, zeta)
-    one = single_photon_numbers(p, Kind.GAIN_GAIN, zeta, 1)
-    two = single_photon_numbers(p, Kind.GAIN_GAIN, zeta, 2)
-    vm = vacuum_moments(p, Kind.GAIN_GAIN, zeta)
+    noon = noon_photon_numbers(p, zeta)
+    one = single_photon_numbers(p, zeta, port=1)
+    two = single_photon_numbers(p, zeta, port=2)
+    vm = vacuum_moments(p, zeta)
     assert np.isclose(noon.n1, one.n1 + two.n1 - vm.n1, rtol=1e-12)
     assert np.isclose(noon.n2, one.n2 + two.n2 - vm.n2, rtol=1e-12)
 
@@ -172,9 +205,9 @@ def test_noon_numbers_are_sum_of_port_injections_plus_vacuum():
 def test_lossless_noon_two_point_interference():
     # for a lossless coupler the two stimulated paths interfere exactly:
     # n1212 = |U11 U21 + U12 U22|^2 = 4 sin^2 cos^2
-    p = EffectiveParams.from_detuning(0.0j, 1.5 + 0.0j)
+    p = EffectiveParams(0.0j, 1.5 + 0.0j)
     for zeta in (0.3, 0.7, 2.0):
-        value = noon_two_point(p, Kind.GAIN_LOSS, zeta)
+        value = noon_two_point(p, zeta)
         expected = 4.0 * (math.sin(zeta) * math.cos(zeta)) ** 2
         assert np.isclose(value, expected, rtol=1e-12, atol=1e-14)
 
@@ -195,7 +228,7 @@ def test_noon_two_point_matches_propagator_formula(kind, magnitude, positive, ze
     assume(4.0 * (p.beta + abs(p.omega.imag)) * zeta <= 700.0)  # e^{2 c zeta} within range
     v = math.exp(p.beta * zeta) * propagator(p.n, zeta)
     s = v.conj() @ v.T
-    vm = vacuum_moments(p, kind, zeta, max_magnitude=None)
+    vm = vacuum_moments(p, zeta, max_magnitude=None)
     terms = (
         abs((v @ v.T)[0, 1]) ** 2,
         vm.n1 * vm.n2,
@@ -204,7 +237,7 @@ def test_noon_two_point_matches_propagator_formula(kind, magnitude, positive, ze
         vm.n2 * s[0, 0].real,
         2.0 * (vm.n12 * s[1, 0]).real,
     )
-    value = noon_two_point(p, kind, zeta, max_magnitude=None)
+    value = noon_two_point(p, zeta, max_magnitude=None)
     # subnormal values carry no relative accuracy: allow the smallest normal float
     assert abs(value - sum(terms)) <= 1e-10 * max(map(abs, terms)) + np.finfo(float).tiny
 
@@ -221,28 +254,28 @@ def test_q_vacuum_in_unit_interval():
     ]:
         p = params_for(kind, gamma)
         for zeta in (0.2, 1.0, 3.0, 8.0):
-            q = q_vacuum(p, kind, zeta)
+            q = q_vacuum(p, zeta)
             assert -1e-12 <= q <= 1.0 + 1e-9
 
 
 def test_q_vacuum_undefined_for_passive_or_zero():
     with pytest.raises(NoSpontaneousFieldError):
-        q_vacuum(params_for(Kind.PASSIVE_LOSS, -0.5), Kind.PASSIVE_LOSS, 1.0)
+        q_vacuum(params_for(Kind.PASSIVE_LOSS, -0.5), 1.0)
     with pytest.raises(NoSpontaneousFieldError):
-        q_vacuum(params_for(Kind.GAIN_LOSS, -0.5), Kind.GAIN_LOSS, 0.0)
+        q_vacuum(params_for(Kind.GAIN_LOSS, -0.5), 0.0)
 
 
 def test_q_noon_crosses_into_bunching_for_gain_loss():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    assert q_noon(p, Kind.GAIN_LOSS, 0.05) < 0.0
-    assert q_noon(p, Kind.GAIN_LOSS, 3.0) > 0.0
+    assert q_noon(p, 0.05) < 0.0
+    assert q_noon(p, 3.0) > 0.0
 
 
 def test_q_noon_stays_defined_or_gapped_deep_in_decay():
     # from zeta ~ 200 on the raw loss-loss moments sink into the subnormal
     # range; the ratio, formed with the envelope divided out, stays defined
     p = params_for(Kind.LOSS_LOSS, -0.9)
-    curve = sample_curve(p, Kind.LOSS_LOSS, "q2002", np.linspace(0.05, 1000.0, 300))
+    curve = sample_curve(p, "q2002", np.linspace(0.05, 1000.0, 300))
     q = curve.column("q2002")
     assert np.all(q >= -1.0)
     # 60-digit mpmath from U = cos(Omega zeta) I + i sin(Omega zeta) H / Omega
@@ -253,7 +286,7 @@ def test_q_noon_stays_nonpositive_for_passive_kinds():
     for kind in (Kind.PASSIVE_LOSS, Kind.LOSS_LOSS):
         p = params_for(kind, -0.5)
         for zeta in np.linspace(0.0, 8.0, 30):
-            assert q_noon(p, kind, float(zeta)) <= 1e-12
+            assert q_noon(p, float(zeta)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +325,14 @@ def test_asymptotic_shares_ordered_and_normalized(a):
 def test_growth_guard_blocks_raw_numbers():
     p = params_for(Kind.GAIN_GAIN, 1.2)
     with pytest.raises(GrowthGuardError):
-        single_photon_numbers(p, Kind.GAIN_GAIN, 20.0)
+        single_photon_numbers(p, 20.0)
     with pytest.raises(GrowthGuardError):
-        vacuum_moments(p, Kind.GAIN_GAIN, 20.0)
+        vacuum_moments(p, 20.0)
     # ratios remain available far beyond the guard
-    q = q_vacuum(p, Kind.GAIN_GAIN, 20.0)
+    q = q_vacuum(p, 20.0)
     assert 0.0 <= q <= 1.0 + 1e-9
     # and the guard can be lifted explicitly
-    numbers = single_photon_numbers(p, Kind.GAIN_GAIN, 20.0, max_magnitude=None)
+    numbers = single_photon_numbers(p, 20.0, max_magnitude=None)
     assert numbers.n1 > GROWTH_GUARD_MAX
 
 
@@ -308,16 +341,16 @@ def test_growth_guard_rejects_invalid_max_magnitude(bad):
     # the single-point functions and sample_curve share one check
     p = params_for(Kind.GAIN_LOSS, -0.5)
     with pytest.raises(ValueError, match=f"max_magnitude .* got {bad!r}"):
-        vacuum_moments(p, Kind.GAIN_LOSS, 1.0, max_magnitude=bad)
+        vacuum_moments(p, 1.0, max_magnitude=bad)
     with pytest.raises(ValueError, match=f"max_magnitude .* got {bad!r}"):
-        sample_curve(p, Kind.GAIN_LOSS, "spont", np.array([0.5, 1.0]), max_magnitude=bad)
+        sample_curve(p, "spont", np.array([0.5, 1.0]), max_magnitude=bad)
     # an infinite guard is a lifted guard
-    assert vacuum_moments(p, Kind.GAIN_LOSS, 1.0, max_magnitude=math.inf).n1 > 0.0
+    assert vacuum_moments(p, 1.0, max_magnitude=math.inf).n1 > 0.0
 
 
 def test_growth_guard_inactive_for_bounded_devices():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    numbers = single_photon_numbers(p, Kind.GAIN_LOSS, 50.0)
+    numbers = single_photon_numbers(p, 50.0)
     assert math.isfinite(numbers.n1)
 
 
@@ -328,8 +361,8 @@ def test_growth_guard_inactive_for_bounded_devices():
 def test_sample_curve_columns_and_determinism():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     grid = np.linspace(0.1, 5.0, 40)
-    a = sample_curve(p, Kind.GAIN_LOSS, "all", grid)
-    b = sample_curve(p, Kind.GAIN_LOSS, "all", grid)
+    a = sample_curve(p, "all", grid)
+    b = sample_curve(p, "all", grid)
     assert a.columns == CURVE_COLUMNS["all"]
     assert a.gaps == [] and b.gaps == []
     for col in a.columns:
@@ -339,7 +372,7 @@ def test_sample_curve_columns_and_determinism():
 def test_sample_curve_flags_guarded_points():
     p = params_for(Kind.GAIN_GAIN, 1.2)
     grid = np.array([0.5, 20.0])
-    curve = sample_curve(p, Kind.GAIN_GAIN, "single", grid)
+    curve = sample_curve(p, "single", grid)
     assert math.isfinite(curve.column("n1")[0])
     assert math.isnan(curve.column("n1")[1])  # beyond the growth guard
     assert math.isfinite(curve.column("share1")[1])  # ratio still defined
@@ -348,7 +381,7 @@ def test_sample_curve_flags_guarded_points():
 
 def test_sample_curve_passive_spont_is_all_gaps():
     p = params_for(Kind.LOSS_LOSS, -0.5)
-    curve = sample_curve(p, Kind.LOSS_LOSS, "spont", np.array([1.0, 2.0]))
+    curve = sample_curve(p, "spont", np.array([1.0, 2.0]))
     assert all(math.isnan(v) for v in curve.column("share1"))
     assert len(curve.gaps) == 2
 
@@ -361,9 +394,9 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
     gamma = 1.2 if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS) else -1.2
     p = params_for(kind, gamma)
     grid = np.linspace(0.05, 10.0, 37)
-    curve = sample_curve(p, kind, observable, grid, max_magnitude=None)
+    curve = sample_curve(p, observable, grid, max_magnitude=None)
     for index in (0, 11, 36):
-        alone = sample_curve(p, kind, observable, grid[index : index + 1], max_magnitude=None)
+        alone = sample_curve(p, observable, grid[index : index + 1], max_magnitude=None)
         for name in curve.columns:
             on_grid = np.float64(curve.column(name)[index])
             assert on_grid.tobytes() == np.float64(alone.column(name)[0]).tobytes()
@@ -382,16 +415,16 @@ def test_curve_forms_each_launch_once(monkeypatch, observable, launches):
         lambda bundle, ports: seen.append(ports) or counted(bundle, ports),
     )
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    sample_curve(p, Kind.GAIN_LOSS, observable, np.linspace(0.1, 2.0, 5))
+    sample_curve(p, observable, np.linspace(0.1, 2.0, 5))
     assert sorted(seen) == launches
 
 
 def test_sample_curve_rejects_bad_grid():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     with pytest.raises(ValueError):
-        sample_curve(p, Kind.GAIN_LOSS, "spont", np.array([1.0, 1.0]))
+        sample_curve(p, "spont", np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        sample_curve(p, Kind.GAIN_LOSS, "nope", np.array([1.0, 2.0]))
+        sample_curve(p, "nope", np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +443,12 @@ def test_loss_loss_shares_match_passive_loss():
     assert p_pl.n == p_ll.n
     assert p_pl.beta != p_ll.beta
     for zeta in (0.5, 2.0, 6.0):
-        s_pl = renormalize(single_photon_numbers(p_pl, Kind.PASSIVE_LOSS, zeta, 1))
-        s_ll = renormalize(single_photon_numbers(p_ll, Kind.LOSS_LOSS, zeta, 1))
+        s_pl = renormalize(single_photon_numbers(p_pl, zeta, port=1))
+        s_ll = renormalize(single_photon_numbers(p_ll, zeta, port=1))
         assert np.allclose(s_pl, s_ll, rtol=0.0, atol=1e-12)
         assert np.isclose(
-            q_noon(p_pl, Kind.PASSIVE_LOSS, zeta),
-            q_noon(p_ll, Kind.LOSS_LOSS, zeta),
+            q_noon(p_pl, zeta),
+            q_noon(p_ll, zeta),
             rtol=1e-10,
             atol=1e-12,
         )
@@ -430,7 +463,7 @@ def test_equal_loss_pair_decays_with_plain_envelope():
     p = effective_params(r)
     assert p.gamma == 0.0 and p.beta == -0.3
     for zeta in (0.5, 1.5, 4.0):
-        numbers = single_photon_numbers(p, Kind.LOSS_LOSS, zeta, 1)
+        numbers = single_photon_numbers(p, zeta, port=1)
         env = math.exp(2.0 * p.beta * zeta)
         assert np.isclose(numbers.n1, env * math.cos(zeta) ** 2, rtol=1e-12, atol=1e-15)
         assert np.isclose(numbers.n2, env * math.sin(zeta) ** 2, rtol=1e-12, atol=1e-15)
@@ -459,7 +492,7 @@ def test_degenerate_gain_loss_moments_are_exact_polynomials(zeta):
     # the moments are polynomials in zeta; the generator must stay exact here
     # although H is defective
     p = params_for(Kind.GAIN_LOSS, -1.0)
-    vm = vacuum_moments(p, Kind.GAIN_LOSS, zeta, max_magnitude=None)
+    vm = vacuum_moments(p, zeta, max_magnitude=None)
     exact = (
         2.0 * ((1.0 + zeta) ** 3 - 1.0) / 3.0,
         2.0 * zeta**3 / 3.0,
@@ -474,14 +507,14 @@ def test_decayed_field_transfer_matches_propagator():
     # about 1e-44; they must keep their relative accuracy, not turn into round-off
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
-    bundle = moment_bundle(p, Kind.PASSIVE_LOSS, grid)
+    bundle = moment_bundle(p, grid)
     for port in (0, 1):  # no pump: the launch moments are the stimulated ones alone
         launched = with_envelope(bundle, launch_moments(bundle, (port,)))
         for zeta, moments in zip(grid, launched):
             u = propagator(p.n, zeta)[:, port]
             want = math.exp(2.0 * p.beta * zeta) * np.outer(u.conj(), u)
             assert np.allclose(moments, want, rtol=1e-8, atol=0.0), (port, zeta)
-    curve = sample_curve(p, Kind.PASSIVE_LOSS, "single", grid)
+    curve = sample_curve(p, "single", grid)
     assert curve.gaps == []
 
 
@@ -493,7 +526,7 @@ def _generator(monkeypatch, kind, gamma, grid):
     """The block generator moment_bundle exponentiates, and the grid it goes with."""
     seen = []
     monkeypatch.setattr(observables, "expm", lambda a, t: seen.append((a, t)) or expm(a, t))
-    moment_bundle(params_for(kind, gamma), kind, grid)
+    moment_bundle(params_for(kind, gamma), grid)
     return seen[0]
 
 
@@ -571,6 +604,38 @@ def test_expm_of_norm_1e12_stays_finite():
         assert np.array_equal(expm(a - 1e12 * np.eye(2)), np.zeros((2, 2)))
 
 
+# Imaginary parts (Im n1, Im n2) of devices with detuned guides
+_OFF_AXIS_PATTERNS = {
+    "gain-gain": (-0.4, -0.9),
+    "gain-loss": (-0.6, 0.6),
+    "loss-gain": (0.5, -0.5),
+    "pumped-net-loss": (-0.3, 0.7),  # c < 0 with a pump: moments settle
+    "loss-loss": (0.3, 0.8),
+}
+
+
+@pytest.mark.parametrize("imag", _OFF_AXIS_PATTERNS.values(), ids=_OFF_AXIS_PATTERNS.keys())
+def test_detuned_guides_match_the_moment_oracle(imag):
+    # Re n != 0 takes moment_bundle's complex-generator branch, which no preset reaches
+    launches = ((), (0,), (1,), (0, 1))
+    initial = np.array([np.diag([p.count(0), p.count(1)]) for p in launches])
+    marks = (1.0, 5.0, 20.0)
+    for nr2 in (1.3, 1.9, 1.7, 1.2, 1.1):
+        n1, n2, g = complex(1.5, imag[0]), complex(nr2, imag[1]), 1.0
+        dp = DriftAndPump(
+            m=np.array([[n1 / g, 1.0], [1.0, n2 / g]]),
+            d=np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g]),
+        )
+        bundle = moment_bundle(EffectiveParams((n1 - n2) / (2 * g), (n1 + n2) / (2 * g)), marks)
+        assert bundle.products.dtype == np.complex128
+        oracle = np.stack(integrate_moments_path(initial, dp, marks, step=4e-4), axis=1)
+        for ports, path in zip(launches, oracle):
+            ours = with_envelope(bundle, launch_moments(bundle, ports))
+            for mine, reference in zip(ours, path):
+                scale = np.abs(reference).max()
+                assert np.abs(mine - reference).max() <= 1e-7 * scale, (nr2, ports)
+
+
 @pytest.mark.parametrize("kind", [Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE])
 def test_expm_matches_mpmath_on_moment_generators(monkeypatch, kind):
     # the columns the moments come from, relative to their largest entry, to 40 digits
@@ -588,12 +653,12 @@ def test_expm_matches_mpmath_on_moment_generators(monkeypatch, kind):
                 assert error <= 5e-12 * scale, (magnitude, zeta, column)
 
 
-def _bundle_and_stack(p, kind, grid):
+def _bundle_and_stack(p, grid):
     """moment_bundle on a grid, and the block generator it hands to expm."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(observables, "expm", lambda a, t: seen.append(a) or expm(a, t))
-        bundle = moment_bundle(p, kind, grid)
+        bundle = moment_bundle(p, grid)
     return bundle, seen[0]
 
 
@@ -610,9 +675,9 @@ def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
     two_signed = kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS)
     p = params_for(kind, magnitude if positive and two_signed else -magnitude)
     assume(2.0 * (p.beta + abs(p.omega.imag)) * zeta < 650.0)
-    twin = EffectiveParams.from_detuning(complex(1e-300, p.gamma), p.n0)
-    real, real_stack = _bundle_and_stack(p, kind, np.array([zeta]))
-    cplx, cplx_stack = _bundle_and_stack(twin, kind, np.array([zeta]))
+    twin = EffectiveParams(complex(1e-300, p.gamma), p.n0)
+    real, real_stack = _bundle_and_stack(p, np.array([zeta]))
+    cplx, cplx_stack = _bundle_and_stack(twin, np.array([zeta]))
     assert real_stack.dtype == np.float64 and cplx_stack.dtype == np.complex128
     pairs = [(real.products, cplx.products)]
     pairs += [(launch_moments(real, ports), launch_moments(cplx, ports)) for ports in ((), (0,), (1,))]
@@ -645,8 +710,8 @@ def test_ratios_keep_their_bounds_at_any_distance(kind, magnitude, positive, zet
     grid = np.array([zeta, 1e3]) if zeta < 1e3 else np.array([1e3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        every = sample_curve(p, kind, "all", grid)
-        single = sample_curve(p, kind, "single", grid)
+        every = sample_curve(p, "all", grid)
+        single = sample_curve(p, "single", grid)
     q00 = every.column("q00")
     q00 = q00[~np.isnan(q00)]  # no spontaneous field at all, or at zeta = 0
     assert np.all((q00 >= -1e-12) & (q00 <= 1.0 + 1e-12))
@@ -676,7 +741,7 @@ def test_far_grids_evaluate_up_to_max_zeta(kind):
         for gamma in (sign * magnitude for magnitude in magnitudes for sign in signs):
             p = params_for(kind, gamma)
             for observable in CURVE_COLUMNS:
-                curve = sample_curve(p, kind, observable, grid)
+                curve = sample_curve(p, observable, grid)
                 if observable in ("single", "noon_n"):  # launched photons are always there
                     assert not np.isnan(curve.column("share1")).any()
 
@@ -685,20 +750,20 @@ def test_distances_past_max_zeta_are_rejected():
     p = params_for(Kind.PASSIVE_LOSS, -0.5)
     for far in (np.nextafter(MAX_ZETA, math.inf), 1e20, 1e50, math.inf):
         with pytest.raises(ValueError, match="MAX_ZETA"):
-            sample_curve(p, Kind.PASSIVE_LOSS, "single", np.array([1.0, far]))
+            sample_curve(p, "single", np.array([1.0, far]))
         for point in (vacuum_moments, single_photon_numbers, noon_photon_numbers, noon_two_point):
             with pytest.raises(ValueError, match="MAX_ZETA"):
-                point(p, Kind.PASSIVE_LOSS, far)
+                point(p, far)
         for ratio in (q_vacuum, q_noon):
             with pytest.raises(ValueError, match="MAX_ZETA"):
-                ratio(params_for(Kind.GAIN_LOSS, -0.5), Kind.GAIN_LOSS, far)
-    assert math.isfinite(noon_two_point(p, Kind.PASSIVE_LOSS, MAX_ZETA))
+                ratio(params_for(Kind.GAIN_LOSS, -0.5), far)
+    assert math.isfinite(noon_two_point(p, MAX_ZETA))
 
 
 def test_curve_keeps_a_read_only_copy_of_the_grid():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     grid = np.linspace(0.1, 1.0, 4)
-    curve = sample_curve(p, Kind.GAIN_LOSS, "spont", grid)
+    curve = sample_curve(p, "spont", grid)
     grid[0] = 99.0
     assert curve.zetas is not grid and curve.zetas[0] == 0.1
     with pytest.raises(ValueError):
@@ -710,12 +775,12 @@ def test_raw_values_past_the_float_range():
     p = params_for(Kind.GAIN_GAIN, 3.0)
     for raw in (vacuum_moments, single_photon_numbers, noon_photon_numbers, noon_two_point):
         with pytest.raises(OverflowError, match="zeta=300$"):
-            raw(p, Kind.GAIN_GAIN, 300.0, max_magnitude=None)
+            raw(p, 300.0, max_magnitude=None)
     with pytest.raises(OverflowError):  # a two-point moment carries the envelope twice
-        noon_two_point(p, Kind.GAIN_GAIN, 30.0, max_magnitude=None)
-    assert math.isfinite(noon_photon_numbers(p, Kind.GAIN_GAIN, 30.0, max_magnitude=None).n1)
+        noon_two_point(p, 30.0, max_magnitude=None)
+    assert math.isfinite(noon_photon_numbers(p, 30.0, max_magnitude=None).n1)
     grid = np.array([1.0, 300.0])
-    curve = sample_curve(p, Kind.GAIN_GAIN, "all", grid, max_magnitude=None)
+    curve = sample_curve(p, "all", grid, max_magnitude=None)
     assert curve.gaps == [(1, "raw photon numbers leave the floating-point range at zeta=300.0")]
     for name in curve.columns:
         assert math.isfinite(curve.column(name)[0])
@@ -724,7 +789,7 @@ def test_raw_values_past_the_float_range():
 
 def test_curve_columns_are_read_only():
     p = params_for(Kind.GAIN_LOSS, -0.5)
-    curve = sample_curve(p, Kind.GAIN_LOSS, "all", np.linspace(0.1, 2.0, 5))
+    curve = sample_curve(p, "all", np.linspace(0.1, 2.0, 5))
     for name in curve.columns:
         with pytest.raises(ValueError):
             curve.column(name)[0] = 1.0
@@ -735,5 +800,5 @@ def test_curve_columns_are_read_only():
 def test_vacuum_moments_satisfy_correlation_bound(gamma, zeta):
     kind = Kind.GAIN_GAIN
     p = params_for(kind, gamma)
-    vm = vacuum_moments(p, kind, zeta, max_magnitude=None)
+    vm = vacuum_moments(p, zeta, max_magnitude=None)
     assert abs(vm.n12) ** 2 <= vm.n1 * vm.n2 * (1.0 + 1e-9) + 1e-9
