@@ -12,8 +12,8 @@ Sweeps write a single CSV with one row per propagation distance: a leading
 byte-identical files.  A sweep reaches at most MAX_ZETA = 1e8 coupling lengths,
 where the phase Omega zeta still carries about 8 digits.  Exit codes: 0 success,
 1 runtime failure (I/O, a failed verify, moments breaking a bound), 2 usage
-error (a bad option or config value, --zeta-max past MAX_ZETA); a usage error
-prints one 'usage error:' line and writes no file.
+error (a bad option or config value, --zeta-max past MAX_ZETA, a device past the
+float range); a usage error prints one 'usage error:' line and writes no file.
 """
 
 from __future__ import annotations
@@ -170,10 +170,9 @@ def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
             f"observable {run.observable!r} is undefined at zeta=0; use zeta-min > 0"
         )
     try:
-        realization = preset_realization(kind, run.gamma, nr=run.nr, g=run.g)
+        params = effective_params(preset_realization(kind, run.gamma, nr=run.nr, g=run.g))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    params = effective_params(realization)
     grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
     curve = sample_curve(params, run.observable, grid)
     return kind, params, curve

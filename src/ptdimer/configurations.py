@@ -36,13 +36,10 @@ class Kind(enum.Enum):
     LOSS_LOSS = "loss-loss"
 
 
-# Kinds using a single imaginary magnitude `ni` versus the pair `ni1, ni2`.
+# Kinds using a single imaginary magnitude `ni` (the rest use the pair `ni1, ni2`).
+# They reach only negative gamma: the gain or the less lossy guide sits first.
+# The two-magnitude kinds reach both signs.
 _SINGLE_MAGNITUDE = (Kind.GAIN_LOSS, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS)
-_PAIR_MAGNITUDE = (Kind.GAIN_GAIN, Kind.LOSS_LOSS)
-
-# Kinds whose gamma sign is forced (always negative: gain or the lossier
-# guide sits first).  The two-magnitude kinds reach both signs.
-_FORCED_NEGATIVE = (Kind.GAIN_LOSS, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS)
 
 
 class UnreachableGammaError(ValueError):
@@ -127,7 +124,7 @@ def realization_for_gamma(
     g = _positive(g, "g")
     mag = abs(gamma_target)
 
-    if kind in _FORCED_NEGATIVE:
+    if kind in _SINGLE_MAGNITUDE:
         if gamma_target > 0.0:
             raise UnreachableGammaError(
                 f"{kind.value} only realizes negative gamma, got {gamma_target!r}"

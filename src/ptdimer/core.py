@@ -117,9 +117,9 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     a = np.asarray(a)
     t = np.asarray(t, dtype=float)
     size = a.shape[-1]
-    # a power of two at or above the 1-norm, so that a / norm is exact
-    norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
     with np.errstate(all="ignore"):  # non-finite input ends in a non-finite s
+        # a power of two at or above the 1-norm, so that a / norm is exact
+        norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
         b = a / norm[..., None, None]
         powers = np.stack([np.broadcast_to(np.eye(size, dtype=a.dtype), a.shape), b], axis=-3)
         while powers.shape[-3] <= _TAYLOR_DEGREE:  # b^0 .. b^(k-1) times b^k give b^k .. b^(2k-1)
@@ -171,7 +171,7 @@ class EffectiveParams:
 
     Everything else is derived, never stored: gamma = Im(n), the gain-loss
     asymmetry; beta = -Im(n0), the global envelope rate (photon numbers carry
-    exp(2 beta zeta)); omega = dispersion(n).
+    exp(2 beta zeta)); omega = dispersion(n).  All three must be finite.
     """
 
     n: complex
@@ -182,6 +182,7 @@ class EffectiveParams:
             value = complex(getattr(self, name))
             _require_finite(value, name)
             object.__setattr__(self, name, value)
+        _require_finite(self.omega, "omega")  # 1 + n^2 overflows for |n| past 1e154
 
     @property
     def gamma(self) -> float:

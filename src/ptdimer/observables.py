@@ -44,13 +44,17 @@ exponentiated shifted, expm(zeta (G - c I)) = e^{-c zeta} expm(zeta G) (Higham,
 Functions of Matrices, SIAM 2008, ch. 10), and the ratios (shares, q00, q2002)
 are formed envelope-free, defined at any distance.  A pumped device with c < 0
 settles to a steady state, so its block is not shifted (c = 0 there).  Raw
-photon numbers (times e^{c zeta}) raise GrowthGuardError past ``max_magnitude``
-(default 1e12, where a real device has saturated; None lifts it, a non-positive
-value is a ValueError).  Past the float range a raw value is a gap on a curve,
-OverflowError at a point.  Distances reach up to MAX_ZETA = 1e8, where the
-phase Omega zeta still carries about 8 digits (shares within 1.2e-9 of 60-digit
-arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance is a
-ValueError.
+photon numbers (times e^{c zeta}) are a gap past ``max_magnitude`` (default
+1e12, where a real device has saturated; None lifts it, a non-positive value is
+a ValueError) or past the float range.  Distances reach up to MAX_ZETA = 1e8,
+where the phase Omega zeta still carries about 8 digits (shares within 1.2e-9
+of 60-digit arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance
+is a ValueError.
+
+A single-distance function is the one-point grid [zeta] of ``sample_curve``'s
+code: it returns the curve's values bit for bit and raises where the curve has
+a gap, GrowthGuardError past the guard, OverflowError past the float range,
+NoSpontaneousFieldError or DecayedFieldError where q00 or q2002 is undefined.
 """
 
 from __future__ import annotations
@@ -145,16 +149,6 @@ def vacuum_pump_weights(params: EffectiveParams) -> tuple[float, float]:
     return 2.0 * max(0.0, beta - gamma), 2.0 * max(0.0, beta + gamma)
 
 
-def _growth_rate(params: EffectiveParams) -> float:
-    """Rate c = 2 (beta + |Im Omega|) at which the moments grow (decay if c < 0)."""
-    return 2.0 * (params.beta + abs(params.omega.imag))
-
-
-def _growth_exponent(params: EffectiveParams, zeta):
-    """Log of the predicted peak magnitude e^{max(c, 0) zeta}."""
-    return max(0.0, _growth_rate(params)) * zeta
-
-
 def _growth_note(exponent: float, max_magnitude: float) -> str:
     return (
         f"predicted magnitude e^{exponent:.1f} exceeds the guard {max_magnitude:g}; "
@@ -166,7 +160,8 @@ def _growth_note(exponent: float, max_magnitude: float) -> str:
 class MomentBundle:
     """Per point: vacuum n1, n2, n12 and the products y = e^{2 beta t} (c* c, c* s, s* c, s* s).
 
-    Every field but ``h`` (the coupling matrix) is over e^{log_envelope}.
+    Every field but ``h`` (the coupling matrix) is over e^{log_envelope}; the
+    growth guard reads the predicted peak magnitude as e^{max(log_envelope, 0)}.
     """
 
     zetas: np.ndarray
@@ -193,15 +188,15 @@ def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
     zetas = np.asarray(zetas, dtype=float)
     w = np.diag(vacuum_pump_weights(params))
     h = hamiltonian(params.n)
-    eye = np.eye(2)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
-    companion = np.array([[0.0, -(omega2.real if omega2.imag == 0.0 else omega2)], [1.0, 0.0]])
-    rate = _growth_rate(params)
+    b = -(omega2.real if omega2.imag == 0.0 else omega2)  # B = [[0, b], [1, 0]]
+    rate = 2.0 * (params.beta + abs(params.omega.imag))  # growth rate c of the moments
     # G - c I with L - c I = conj(B) (x) I + I (x) B - 2 |Im Omega| I, but where c < 0
     # the corner stays 0: unpumped (W = 0), the unused integral column stays finite;
     # pumped, the moments settle to a steady state, so nothing is shifted (c = 0)
-    generator = np.zeros((5, 5), dtype=companion.dtype)
-    generator[:4, :4] = np.kron(companion.conj(), eye) + np.kron(eye, companion)
+    generator = np.zeros((5, 5), dtype=type(b))
+    bc = b.conjugate()  # conj(B) (x) I + I (x) B, written out:
+    generator[:4, :4] = [[0, b, bc, 0], [1, 0, 0, bc], [1, 0, 0, b], [0, 1, 1, 0]]
     if rate < 0.0 and w.any():
         rate = 0.0
         generator[:4, :4] += 2.0 * params.beta * np.eye(4)
@@ -281,24 +276,36 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return np.where(denominator >= _RATIO_FLOOR, numerator / denominator, math.nan)
 
 
-def _log_guard(max_magnitude: float | None) -> float:
-    """Log of the growth guard, inf when lifted; ValueError unless None or positive."""
-    if max_magnitude is None:
-        return math.inf
-    if not float(max_magnitude) > 0.0:
+def _grid(zetas) -> np.ndarray:
+    """A read-only copy of a distance grid: non-empty, 1-D, in [0, MAX_ZETA], strictly increasing."""
+    grid = np.array(zetas, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("zeta grid must be a non-empty 1-D array")
+    if not np.all((grid >= 0.0) & (grid <= MAX_ZETA)):
+        raise ValueError(f"zeta must lie in [0, MAX_ZETA = {MAX_ZETA:g}]")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("zeta grid must be strictly increasing")
+    grid.flags.writeable = False
+    return grid
+
+
+def _guarded_bundle(params: EffectiveParams, zetas, max_magnitude: float | None):
+    """The bundle on a grid, each point's log peak magnitude, and where that passes the guard."""
+    grid = _grid(zetas)
+    if max_magnitude is not None and not float(max_magnitude) > 0.0:
         raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
-    return math.log(max_magnitude)
+    log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
+    bundle = moment_bundle(params, grid)
+    exponents = np.maximum(bundle.log_envelope, 0.0)
+    return bundle, exponents, exponents <= log_guard
 
 
-def _at_point(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> MomentBundle:
-    """The bundle of a one-point grid, after the growth guard."""
-    zeta = float(zeta)
-    if not 0.0 <= zeta <= MAX_ZETA:
-        raise ValueError(f"zeta must lie in [0, MAX_ZETA = {MAX_ZETA:g}], got {zeta!r}")
-    exponent = _growth_exponent(params, zeta)
-    if exponent > _log_guard(max_magnitude):
-        raise GrowthGuardError(_growth_note(exponent, max_magnitude))
-    return moment_bundle(params, np.array([zeta]))
+def _point(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> MomentBundle:
+    """The bundle of the one-point grid [zeta]; GrowthGuardError where a curve notes a guard gap."""
+    bundle, exponents, raw_ok = _guarded_bundle(params, [zeta], max_magnitude)
+    if not raw_ok[0]:
+        raise GrowthGuardError(_growth_note(exponents[0], max_magnitude))
+    return bundle
 
 
 def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -316,7 +323,7 @@ def vacuum_moments(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> VacuumMoments:
     """Spontaneous second moments generated from vacuum at distance zeta."""
-    bundle = _at_point(params, zeta, max_magnitude)
+    bundle = _point(params, zeta, max_magnitude)
     moments = _raw_point(bundle, launch_moments(bundle, ()))
     return VacuumMoments(moments[0, 0].real, moments[1, 1].real, moments[0, 1])
 
@@ -330,10 +337,7 @@ def q_vacuum(params: EffectiveParams, zeta: float) -> float:
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    q = _curve_point(params, "q00", zeta)
-    if math.isnan(q):
-        raise NoSpontaneousFieldError(f"q undefined at zeta={zeta!r}: no spontaneous field")
-    return q
+    return _ratio_point(params, "q00", zeta, NoSpontaneousFieldError)
 
 
 def single_photon_numbers(
@@ -350,7 +354,7 @@ def single_photon_numbers(
     """
     if port not in (1, 2):
         raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    bundle = _at_point(params, zeta, max_magnitude)
+    bundle = _point(params, zeta, max_magnitude)
     return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (port - 1,)))))
 
 
@@ -361,7 +365,7 @@ def noon_photon_numbers(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
     """Mean photon numbers for the two-photon input (|20> + |02>)/sqrt(2)."""
-    bundle = _at_point(params, zeta, max_magnitude)
+    bundle = _point(params, zeta, max_magnitude)
     return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (0, 1)))))
 
 
@@ -376,7 +380,7 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    bundle = _at_point(params, zeta, max_magnitude)
+    bundle = _point(params, zeta, max_magnitude)
     return float(_raw_point(bundle, _noon_two_point(bundle), order=2))
 
 
@@ -387,12 +391,7 @@ def q_noon(params: EffectiveParams, zeta: float) -> float:
     zero without gain, and crossing into bunching once the spontaneous
     background dominates on amplifying devices.  A ratio of moments; unguarded.
     """
-    q = _curve_point(params, "q2002", zeta)
-    if math.isnan(q):
-        raise DecayedFieldError(
-            f"N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
-        )
-    return q
+    return _ratio_point(params, "q2002", zeta, DecayedFieldError)
 
 
 def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
@@ -487,19 +486,24 @@ def _curve_columns(
     raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
     raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
     columns = {name: np.where(raw_ok, values, math.nan) for name, values in raw.items()}
-    columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
-    columns["share2"] = 1.0 - columns["share1"]
-    columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
+    if "share1" in names:
+        columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
+        columns["share2"] = 1.0 - columns["share1"]
+    if "q00" in names:
+        columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
     if "q2002" in names:  # the only column that needs the N00N numbers
         noon1, noon2 = (n1, n2) if ports == (0, 1) else _photon_numbers(bundle, (0, 1))
         columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
     return {name: columns[name] for name in names}
 
 
-def _curve_point(params: EffectiveParams, observable: str, zeta: float) -> float:
-    """The last column of ``observable`` at one distance, unguarded."""
-    curve = sample_curve(params, observable, np.array([float(zeta)]), max_magnitude=None)
-    return float(curve.column(CURVE_COLUMNS[observable][-1])[0])
+def _ratio_point(params: EffectiveParams, observable: str, zeta: float, error: type) -> float:
+    """The ratio column ``observable`` at one distance, unguarded; ``error`` where a curve gaps."""
+    bundle = _point(params, zeta, None)
+    value = float(_curve_columns(bundle, observable, np.array([True]))[observable][0])
+    if math.isnan(value):
+        raise error(_GAP_REASONS[observable].format(zeta=zeta))
+    return value
 
 
 def sample_curve(
@@ -523,17 +527,9 @@ def sample_curve(
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
-    grid = np.array(zetas, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("zeta grid must be a non-empty 1-D array")
-    if not np.all((grid >= 0.0) & (grid <= MAX_ZETA)):
-        raise ValueError(f"zeta grid must lie in [0, MAX_ZETA = {MAX_ZETA:g}]")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("zeta grid must be strictly increasing")
-
-    exponents = _growth_exponent(params, grid)
-    raw_ok = exponents <= _log_guard(max_magnitude)
-    columns = _curve_columns(moment_bundle(params, grid), observable, raw_ok)
+    bundle, exponents, raw_ok = _guarded_bundle(params, zetas, max_magnitude)
+    grid = bundle.zetas
+    columns = _curve_columns(bundle, observable, raw_ok)
 
     gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in np.flatnonzero(~raw_ok)]
     for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])):
@@ -543,6 +539,6 @@ def sample_curve(
             for i in np.flatnonzero(np.isnan(columns[name])):
                 gaps.append((int(i), reason.format(zeta=float(grid[i]))))
     gaps.sort(key=lambda gap: gap[0])
-    for values in (grid, *columns.values()):
+    for values in columns.values():
         values.flags.writeable = False
     return ObservableCurve(observable=observable, zetas=grid, data=columns, gaps=gaps)

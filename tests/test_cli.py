@@ -413,6 +413,35 @@ def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "device",
+    [
+        ["--gamma", "-0.5", "--g", "1e-310"],  # n0 = (n1 + n2) / (2 g) overflows
+        ["--nr", "1e308"],  # n1 + n2 overflows
+        ["--gamma=-1e200"],  # omega = sqrt(1 + n^2) overflows
+    ],
+)
+def test_unrepresentable_device_is_a_usage_error(tmp_path, monkeypatch, capsys, device):
+    monkeypatch.chdir(tmp_path)
+    grid = ["--zeta-min", "0.001", "--zeta-max", "0.01", "--steps", "3", "--out", "x.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", *device, *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generator_past_the_float_range_exits_1_with_one_error_line(tmp_path, capsys):
+    # gamma 1e154 squares past 1e308 inside the moment exponential
+    argv = ["sweep", "--kind", "gain-passive", "--gamma", "1e154", "--observable", "single"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_steep_gain_loss_sweep_exits_0(tmp_path, capsys):
     # |gamma| = 120: omega^2 - (1 + n^2) rounds to 1.8e-12 here, which an absolute
     # consistency check on a stored omega once rejected with a traceback

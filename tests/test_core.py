@@ -166,6 +166,11 @@ def test_effective_params_derive_gamma_beta_omega():
         EffectiveParams(complex(math.nan, 0.5), 1.5)
 
 
+def test_effective_params_reject_an_overflowing_omega():
+    with pytest.raises(ValueError, match="omega must be finite"):
+        EffectiveParams(-1e200j, 0.0)  # 1 + n^2 overflows
+
+
 def test_effective_params_take_only_n_and_n0():
     # gamma, beta and omega follow from (n, n0); they cannot be passed in
     for derived in ("gamma", "beta", "omega"):

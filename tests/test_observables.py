@@ -402,6 +402,59 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
             assert on_grid.tobytes() == np.float64(alone.column(name)[0]).tobytes()
 
 
+def _point_or_error(point, *args, **kwargs):
+    try:
+        return point(*args, **kwargs)
+    except (GrowthGuardError, OverflowError, NoSpontaneousFieldError, DecayedFieldError) as exc:
+        return exc
+
+
+def _one_point_devices():
+    for kind in Kind:
+        for magnitude in (0.5, 1.0, 1.2, 3.0):
+            signs = (1.0, -1.0) if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS) else (-1.0,)
+            for sign in signs:
+                yield params_for(kind, sign * magnitude)
+    yield EffectiveParams(0.5j, 0.1j)  # c = 2 beta < 0 with guide 2 pumped: a steady state
+
+
+def test_point_functions_read_the_one_point_curve():
+    # a point function is the one-point grid of sample_curve: same values, bit for
+    # bit, and an error exactly where the curve has a gap
+    p = EffectiveParams(0.5j, 0.1j)
+    assert vacuum_pump_weights(p)[1] > 0.0 and p.beta < 0.0
+    guard_note = "predicted magnitude"
+    raw = [
+        (vacuum_moments, {}, "q00", ("n1", "n2", "n12_re", "n12_im"),
+         lambda v: (v.n1, v.n2, v.n12.real, v.n12.imag)),
+        (single_photon_numbers, {"port": 1}, "single", ("n1", "n2"), lambda v: (v.n1, v.n2)),
+        (noon_photon_numbers, {}, "noon_n", ("n1", "n2"), lambda v: (v.n1, v.n2)),
+    ]
+    cases = [
+        (point, {**kwargs, "max_magnitude": guard}, observable, names, values, guard)
+        for point, kwargs, observable, names, values in raw
+        for guard in (GROWTH_GUARD_MAX, None)
+    ]
+    cases += [  # the ratios are unguarded
+        (q_vacuum, {}, "q00", ("q00",), lambda v: (v,), None),
+        (q_noon, {}, "q2002", ("q2002",), lambda v: (v,), None),
+    ]
+    for p in _one_point_devices():
+        for zeta in (0.0, 0.3, 5.0, 40.0, 300.0):  # 300: raw numbers past the float range
+            for function, kwargs, observable, names, values, guard in cases:
+                point = _point_or_error(function, p, zeta, **kwargs)
+                curve = sample_curve(p, observable, [zeta], max_magnitude=guard)
+                guarded = any(note.startswith(guard_note) for _, note in curve.gaps)
+                where = (p, zeta, function.__name__, guard)
+                assert isinstance(point, GrowthGuardError) == guarded, where
+                column = [float(curve.column(name)[0]) for name in names]
+                if isinstance(point, Exception):
+                    assert any(math.isnan(value) for value in column), where
+                    continue
+                for got, want in zip(values(point), column):
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), where
+
+
 @pytest.mark.parametrize(
     "observable, launches",
     [("q2002", [(0, 1)]), ("noon_n", [(0, 1)]), ("all", [(), (0, 1)]), ("single", [(0,)])],
@@ -602,6 +655,13 @@ def test_expm_of_norm_1e12_stays_finite():
         assert np.allclose(expm(a), want, rtol=1e-12, atol=0.0)
         # the powers of this one itself pass the float range from the 26th on
         assert np.array_equal(expm(a - 1e12 * np.eye(2)), np.zeros((2, 2)))
+
+
+def test_expm_past_the_float_range_raises_overflow_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            expm(np.full((2, 2), 1e308))  # its 1-norm, 2e308, is already inf
 
 
 # Imaginary parts (Im n1, Im n2) of devices with detuned guides
