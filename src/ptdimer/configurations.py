@@ -1,9 +1,9 @@
 """The five realizable gain/loss arrangements of a two-guide coupler.
 
-Each arrangement fixes the raw per-guide complex refractive indices from a
-small set of positive magnitudes (gain enters as a negative imaginary part,
-loss as a positive one), and maps them onto the effective parameters that
-drive propagation:
+An arrangement is the sign of each guide's imaginary index (gain -1, passive
+0, loss +1) applied to positive magnitudes: one magnitude ni where the signs
+differ, ni1 and ni2 where they agree.  The raw complex refractive indices map
+onto the effective parameters that drive propagation:
 
     kind          guide 1           guide 2           gamma              beta
     ------------  ----------------  ----------------  -----------------  ------------------
@@ -36,10 +36,15 @@ class Kind(enum.Enum):
     LOSS_LOSS = "loss-loss"
 
 
-# Kinds using a single imaginary magnitude `ni` (the rest use the pair `ni1, ni2`).
-# They reach only negative gamma: the gain or the less lossy guide sits first.
-# The two-magnitude kinds reach both signs.
-_SINGLE_MAGNITUDE = (Kind.GAIN_LOSS, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS)
+# Sign of each guide's imaginary index.  Unequal signs take one magnitude `ni` and
+# reach only negative gamma; equal signs take `ni1, ni2` and reach both.
+_SIGNS = {
+    Kind.GAIN_LOSS: (-1.0, 1.0),
+    Kind.GAIN_GAIN: (-1.0, -1.0),
+    Kind.GAIN_PASSIVE: (-1.0, 0.0),
+    Kind.PASSIVE_LOSS: (0.0, 1.0),
+    Kind.LOSS_LOSS: (1.0, 1.0),
+}
 
 
 class UnreachableGammaError(ValueError):
@@ -76,27 +81,17 @@ class DimerRealization:
             raise ValueError(f"kind must be a Kind, got {self.kind!r}")
         _positive(self.nr, "nr")
         _positive(self.g, "g")
-        if self.kind in _SINGLE_MAGNITUDE:
-            _positive(self.ni, "ni")
-        else:
-            _positive(self.ni1, "ni1")
-            _positive(self.ni2, "ni2")
+        s1, s2 = _SIGNS[self.kind]
+        for name in ("ni",) if s1 != s2 else ("ni1", "ni2"):
+            _positive(getattr(self, name), name)
 
 
 def raw_indices(realization: DimerRealization) -> tuple[complex, complex]:
     """Complex refractive indices (n1, n2) of the two guides."""
     r = realization
-    if r.kind is Kind.GAIN_LOSS:
-        return complex(r.nr, -r.ni), complex(r.nr, r.ni)
-    if r.kind is Kind.GAIN_GAIN:
-        return complex(r.nr, -r.ni1), complex(r.nr, -r.ni2)
-    if r.kind is Kind.GAIN_PASSIVE:
-        return complex(r.nr, -r.ni), complex(r.nr, 0.0)
-    if r.kind is Kind.PASSIVE_LOSS:
-        return complex(r.nr, 0.0), complex(r.nr, r.ni)
-    if r.kind is Kind.LOSS_LOSS:
-        return complex(r.nr, r.ni1), complex(r.nr, r.ni2)
-    raise ValueError(f"unknown kind {r.kind!r}")
+    s1, s2 = _SIGNS[r.kind]
+    m1, m2 = (r.ni, r.ni) if s1 != s2 else (r.ni1, r.ni2)
+    return complex(r.nr, s1 * m1), complex(r.nr, s2 * m2)
 
 
 def effective_params(realization: DimerRealization) -> EffectiveParams:
@@ -111,38 +106,32 @@ def realization_for_gamma(
 ) -> DimerRealization:
     """Invert the asymmetry: build a device whose effective gamma is the target.
 
-    For the single-magnitude kinds the inversion is unique and only negative
-    targets are reachable.  For gain-gain and loss-loss one magnitude is free;
-    the tie is broken by putting the smaller magnitude at g*|gamma| and the
-    larger at 3*g*|gamma|, assigning them to the guides so that the requested
-    sign comes out.  Raises UnreachableGammaError for an impossible sign.
+    Where the guides' signs differ the inversion is unique and only negative
+    targets are reachable.  Where they agree one magnitude is free; the tie is
+    broken by putting the smaller magnitude at g*|gamma| and the larger at
+    3*g*|gamma|, assigning them to the guides so that the requested sign comes
+    out.  Raises UnreachableGammaError for an impossible sign.
     """
     gamma_target = float(gamma_target)
     if not math.isfinite(gamma_target) or gamma_target == 0.0:
         raise ValueError(f"gamma target must be nonzero and finite, got {gamma_target!r}")
     nr = _positive(nr, "nr")
     g = _positive(g, "g")
+    if not isinstance(kind, Kind):
+        raise ValueError(f"unknown kind {kind!r}")
+    s1, s2 = _SIGNS[kind]
     mag = abs(gamma_target)
 
-    if kind in _SINGLE_MAGNITUDE:
+    # gamma = (s1 m1 - s2 m2) / (2 g)
+    if s1 != s2:
         if gamma_target > 0.0:
             raise UnreachableGammaError(
                 f"{kind.value} only realizes negative gamma, got {gamma_target!r}"
             )
-        scale = 1.0 if kind is Kind.GAIN_LOSS else 2.0
-        return DimerRealization(kind=kind, nr=nr, g=g, ni=scale * g * mag)
-
+        return DimerRealization(kind=kind, nr=nr, g=g, ni=2.0 / (s2 - s1) * g * mag)
     low, high = g * mag, 3.0 * g * mag
-    if kind is Kind.GAIN_GAIN:
-        # gamma = (ni2 - ni1) / (2 g): the more strongly pumped guide carries
-        # the larger magnitude.
-        ni1, ni2 = (low, high) if gamma_target > 0.0 else (high, low)
-        return DimerRealization(kind=kind, nr=nr, g=g, ni1=ni1, ni2=ni2)
-    if kind is Kind.LOSS_LOSS:
-        # gamma = (ni1 - ni2) / (2 g), mirrored relative to gain-gain.
-        ni1, ni2 = (low, high) if gamma_target < 0.0 else (high, low)
-        return DimerRealization(kind=kind, nr=nr, g=g, ni1=ni1, ni2=ni2)
-    raise ValueError(f"unknown kind {kind!r}")
+    ni1, ni2 = (high, low) if s1 * gamma_target > 0.0 else (low, high)
+    return DimerRealization(kind=kind, nr=nr, g=g, ni1=ni1, ni2=ni2)
 
 
 def conventional_gamma(kind: Kind, magnitude: float) -> float:

@@ -190,20 +190,19 @@ def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
     h = hamiltonian(params.n)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
     b = -(omega2.real if omega2.imag == 0.0 else omega2)  # B = [[0, b], [1, 0]]
-    rate = 2.0 * (params.beta + abs(params.omega.imag))  # growth rate c of the moments
-    # G - c I with L - c I = conj(B) (x) I + I (x) B - 2 |Im Omega| I, but where c < 0
-    # the corner stays 0: unpumped (W = 0), the unused integral column stays finite;
-    # pumped, the moments settle to a steady state, so nothing is shifted (c = 0)
-    generator = np.zeros((5, 5), dtype=type(b))
-    bc = b.conjugate()  # conj(B) (x) I + I (x) B, written out:
-    generator[:4, :4] = [[0, b, bc, 0], [1, 0, 0, bc], [1, 0, 0, b], [0, 1, 1, 0]]
-    if rate < 0.0 and w.any():
-        rate = 0.0
-        generator[:4, :4] += 2.0 * params.beta * np.eye(4)
-    else:
-        generator[:4, :4] -= 2.0 * abs(params.omega.imag) * np.eye(4)
-    generator[0, 4] = 1.0
-    generator[4, 4] = -max(rate, 0.0)
+    # G - c I for the growth rate c = 2 beta - d of the moments: L - c I is conj(B) (x) I
+    # + I (x) B + d I with d = -2 |Im Omega|, and the corner e = -c, but where c < 0 the
+    # corner stays 0: unpumped (W = 0), the unused integral column stays finite; pumped,
+    # the moments settle to a steady state, so nothing is shifted (d = 2 beta, c = 0)
+    d = -2.0 * abs(params.omega.imag)
+    if 2.0 * params.beta < d and w.any():
+        d = 2.0 * params.beta
+    rate = 2.0 * params.beta - d
+    bc, e = b.conjugate(), -max(rate, 0.0)
+    generator = np.array(
+        [[d, b, bc, 0, 1], [1, d, 0, bc, 0], [1, 0, d, b, 0], [0, 1, 1, d, 0], [0, 0, 0, 0, e]],
+        dtype=type(b),
+    )
     blocks = expm(generator, zetas)
     moments = _sandwich(blocks[:, :4, 4], w, h)
     n12 = moments[:, 0, 1]
@@ -312,7 +311,7 @@ def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.n
     """Raw ``values`` of a one-point bundle; OverflowError past the floating-point range."""
     raw = with_envelope(bundle, values, order)[0]
     if not np.isfinite(raw).all():
-        raise OverflowError(f"raw moments leave the float range at zeta={bundle.zetas[0]:g}")
+        raise OverflowError(_RANGE_NOTE.format(zeta=float(bundle.zetas[0])))
     return raw
 
 

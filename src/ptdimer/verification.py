@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import Kind, effective_params, realization_for_gamma
+from .configurations import (
+    DimerRealization,
+    Kind,
+    UnreachableGammaError,
+    effective_params,
+    preset_realization,
+    realization_for_gamma,
+)
 from .core import expm, hamiltonian, propagator
 from .moments import drift_and_pump, integrate_moments_path
 from .observables import launch_moments, moment_bundle, sample_curve, with_envelope
@@ -92,12 +99,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _signed_gammas(kind: Kind, magnitudes: tuple[float, ...]) -> list[float]:
-    if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS):
-        signs = (-1.0, 1.0)
-    else:
-        signs = (-1.0,)
-    return [sign * mag for mag in magnitudes for sign in signs]
+def _reachable(kind: Kind, magnitudes: tuple[float, ...]):
+    """The devices of ``kind`` at gamma = -|gamma|, then +|gamma|, where the kind reaches them."""
+    for magnitude in magnitudes:
+        for gamma in (-magnitude, magnitude):
+            try:
+                yield realization_for_gamma(kind, gamma)
+            except UnreachableGammaError:
+                pass
 
 
 def _structure_checks(report: VerificationReport) -> None:
@@ -195,8 +204,7 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
             states = _LAUNCH_STATES
             if number == 0 and kind in _TWO_PHOTON_KINDS:
                 states += (_TWO_PHOTON_STATE,)
-            for gamma in _signed_gammas(kind, (magnitude,)):
-                realization = realization_for_gamma(kind, gamma)
+            for realization in _reachable(kind, (magnitude,)):
                 params = effective_params(realization)
                 dp = drift_and_pump(realization)
                 bundle = moment_bundle(params, np.array(GRID_ZETAS))
@@ -211,10 +219,10 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
 
 
 def _production_column(
-    kind: Kind, gamma: float, observable: str, zetas: tuple[float, ...]
+    realization: DimerRealization, observable: str, zetas: tuple[float, ...]
 ) -> np.ndarray:
     """The CSV column ``observable`` of one device, unguarded."""
-    params = effective_params(realization_for_gamma(kind, gamma))
+    params = effective_params(realization)
     curve = sample_curve(params, observable, np.array(zetas), max_magnitude=None)
     return curve.column(observable)
 
@@ -223,8 +231,8 @@ def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
     # NaN (a gap) propagates through np.max and fails the check
     bounds = [0.0]
     for kind in (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE):
-        for gamma in _signed_gammas(kind, GRID_GAMMA_MAGNITUDES):
-            q = _production_column(kind, gamma, "q00", (0.3, 1.7, 4.1))
+        for realization in _reachable(kind, GRID_GAMMA_MAGNITUDES):
+            q = _production_column(realization, "q00", (0.3, 1.7, 4.1))
             bounds.extend(np.maximum(-q, q - 1.0))
     report.checks.append(
         Check("vacuum correlation bounded in [0, 1]", float(np.max(bounds)), POSITIVITY_TOL)
@@ -232,8 +240,8 @@ def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
 
     anchors = [0.0]
     for kind in Kind:
-        gamma = 0.7 if kind in (Kind.GAIN_GAIN, Kind.LOSS_LOSS) else -0.7
-        anchors.extend(np.abs(_production_column(kind, gamma, "q2002", (0.0,)) + 1.0))
+        q = _production_column(preset_realization(kind, 0.7), "q2002", (0.0,))
+        anchors.extend(np.abs(q + 1.0))
     report.checks.append(
         Check("two-photon correlation anchored at -1", float(np.max(anchors)), tolerance)
     )

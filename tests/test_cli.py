@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,13 @@ import pytest
 import ptdimer.observables
 import ptdimer.verification
 from ptdimer.cli import RunSpec, cmd_sweep, main, write_curve_csv
-from ptdimer.configurations import Kind, effective_params, preset_realization
+from ptdimer.configurations import (
+    Kind,
+    UnreachableGammaError,
+    effective_params,
+    preset_realization,
+    realization_for_gamma,
+)
 from ptdimer.observables import ObservableCurve, asymptotic_shares
 
 
@@ -244,6 +251,28 @@ def test_verify_passes_at_default_tolerance(capsys):
     report = ptdimer.verification.run_verification(1e-7)
     assert report.ok
     assert len(report.failures) == 0
+
+
+def test_verify_checks_every_reachable_device():
+    # the oracle checks cover exactly the devices realization_for_gamma builds
+    reachable = set()
+    for kind in Kind:
+        for magnitude in ptdimer.verification.GRID_GAMMA_MAGNITUDES:
+            for gamma in (-magnitude, magnitude):
+                try:
+                    realization_for_gamma(kind, gamma)
+                except UnreachableGammaError:
+                    continue
+                reachable.add((kind.value, gamma))
+    report = ptdimer.verification.run_verification(1e-7)
+    labels = re.compile(r"moment oracle \[(\S+) gamma=([-+][0-9.]+)\]")
+    checked = {
+        (match[1], float(match[2]))
+        for match in map(labels.match, (check.name for check in report.checks))
+        if match
+    }
+    assert checked == reachable
+    assert len(report.checks) == 74
 
 
 def test_verify_fails_at_impossible_tolerance():

@@ -104,6 +104,28 @@ def test_two_magnitude_kinds_reach_both_signs():
             assert np.isclose(p.gamma, gamma, rtol=GAMMA_RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("nr, g", [(1.5, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("magnitude", [0.3, 1.0, 1.7, 120.0])
+def test_every_kind_maps_to_its_sign_pair(nr, g, magnitude):
+    # the magnitudes realization_for_gamma picks and the module table's
+    # indices, bit for bit, for every kind and every sign it reaches
+    low, high, double = g * magnitude, 3.0 * g * magnitude, 2.0 * g * magnitude
+    cases = [
+        (Kind.GAIN_LOSS, -1.0, dict(ni=low), (-low, low)),
+        (Kind.GAIN_GAIN, -1.0, dict(ni1=high, ni2=low), (-high, -low)),
+        (Kind.GAIN_GAIN, 1.0, dict(ni1=low, ni2=high), (-low, -high)),
+        (Kind.GAIN_PASSIVE, -1.0, dict(ni=double), (-double, 0.0)),
+        (Kind.PASSIVE_LOSS, -1.0, dict(ni=double), (0.0, double)),
+        (Kind.LOSS_LOSS, -1.0, dict(ni1=low, ni2=high), (low, high)),
+        (Kind.LOSS_LOSS, 1.0, dict(ni1=high, ni2=low), (high, low)),
+    ]
+    assert {case[0] for case in cases} == set(Kind)
+    for kind, sign, magnitudes, (im1, im2) in cases:
+        r = realization_for_gamma(kind, sign * magnitude, nr=nr, g=g)
+        assert r == DimerRealization(kind=kind, nr=nr, g=g, **magnitudes)
+        assert raw_indices(r) == (complex(nr, im1), complex(nr, im2))
+
+
 def test_conventional_gamma_signs():
     assert conventional_gamma(Kind.GAIN_GAIN, 1.2) == 1.2
     assert conventional_gamma(Kind.GAIN_LOSS, 1.2) == -1.2
