@@ -10,7 +10,6 @@ from .configurations import (
     DimerRealization,
     Kind,
     UnreachableGammaError,
-    conventional_gamma,
     effective_params,
     preset_realization,
     raw_indices,
@@ -56,7 +55,6 @@ __all__ = [
     "DimerRealization",
     "Kind",
     "UnreachableGammaError",
-    "conventional_gamma",
     "effective_params",
     "preset_realization",
     "raw_indices",

@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="target asymmetry; a positive value a kind cannot reach is read "
-        "as a magnitude with the conventional sign",
+        "as the negative value it does reach",
     )
     sweep.add_argument("--nr", type=float, default=None, help="real refractive index")
     sweep.add_argument("--g", type=float, default=None, help="coupling strength")

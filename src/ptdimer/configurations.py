@@ -64,9 +64,9 @@ def _positive(value: float | None, name: str) -> float:
 class DimerRealization:
     """Raw description of one physical device.
 
-    Magnitudes are all strictly positive; which of ni / ni1 / ni2 apply
-    depends on the kind (see the module table).  Fields that the kind does
-    not use are ignored.
+    Magnitudes are all strictly positive and kept as floats; which of ni /
+    ni1 / ni2 apply depends on the kind (see the module table).  Fields that
+    the kind does not use are ignored.
     """
 
     kind: Kind
@@ -79,11 +79,9 @@ class DimerRealization:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, Kind):
             raise ValueError(f"kind must be a Kind, got {self.kind!r}")
-        _positive(self.nr, "nr")
-        _positive(self.g, "g")
         s1, s2 = _SIGNS[self.kind]
-        for name in ("ni",) if s1 != s2 else ("ni1", "ni2"):
-            _positive(getattr(self, name), name)
+        for name in ("nr", "g") + (("ni",) if s1 != s2 else ("ni1", "ni2")):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
 
 def raw_indices(realization: DimerRealization) -> tuple[complex, complex]:
@@ -134,27 +132,12 @@ def realization_for_gamma(
     return DimerRealization(kind=kind, nr=nr, g=g, ni1=ni1, ni2=ni2)
 
 
-def conventional_gamma(kind: Kind, magnitude: float) -> float:
-    """Signed gamma a kind realizes by default for a given |gamma|.
-
-    Gain-gain devices are quoted with the stronger pump in guide 2 (positive
-    gamma); every other kind puts the amplified or less lossy guide first
-    (negative gamma).
-    """
-    magnitude = abs(float(magnitude))
-    if magnitude == 0.0 or not math.isfinite(magnitude):
-        raise ValueError(f"|gamma| must be nonzero and finite, got {magnitude!r}")
-    return magnitude if kind is Kind.GAIN_GAIN else -magnitude
-
-
 def preset_realization(
     kind: Kind, gamma: float, nr: float = 1.5, g: float = 1.0
 ) -> DimerRealization:
-    """Realization for CLI-style presets: a positive gamma that the kind
-    cannot reach is read as a magnitude and given the conventional sign."""
+    """Realization for CLI-style presets: a positive gamma that the kind cannot
+    reach is read as the negative gamma it does reach."""
     try:
         return realization_for_gamma(kind, gamma, nr, g)
-    except UnreachableGammaError:
-        if gamma > 0.0:
-            return realization_for_gamma(kind, conventional_gamma(kind, gamma), nr, g)
-        raise
+    except UnreachableGammaError:  # only a positive gamma is ever out of reach
+        return realization_for_gamma(kind, -gamma, nr, g)

@@ -183,9 +183,11 @@ def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
 def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
     """All moments on a distance grid from one stacked block exponential, envelope divided out.
 
-    Raises FloatingPointError where they break a bound they must satisfy.
+    Raises ValueError for a grid that is not non-empty, 1-D, in [0, MAX_ZETA] and
+    strictly increasing, and FloatingPointError where the moments break a bound
+    they must satisfy.
     """
-    zetas = np.asarray(zetas, dtype=float)
+    zetas = _grid(zetas)
     w = np.diag(vacuum_pump_weights(params))
     h = hamiltonian(params.n)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
@@ -290,11 +292,10 @@ def _grid(zetas) -> np.ndarray:
 
 def _guarded_bundle(params: EffectiveParams, zetas, max_magnitude: float | None):
     """The bundle on a grid, each point's log peak magnitude, and where that passes the guard."""
-    grid = _grid(zetas)
     if max_magnitude is not None and not float(max_magnitude) > 0.0:
         raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
     log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
-    bundle = moment_bundle(params, grid)
+    bundle = moment_bundle(params, zetas)
     exponents = np.maximum(bundle.log_envelope, 0.0)
     return bundle, exponents, exponents <= log_guard
 
@@ -440,8 +441,8 @@ CURVE_COLUMNS: dict[str, tuple[str, ...]] = {
 # none for the vacuum, guide 1 for one photon, both guides for N00N.
 _INPUT_PORTS = dict(spont=(), q00=(), all=(), single=(0,), noon_n=(0, 1), q2002=(0, 1))
 
-# Observables whose value at zeta = 0 is a 0/0 (spontaneous shares, q00).
-ZERO_UNDEFINED = ("spont", "q00", "all")
+# Observables whose value at zeta = 0 is a 0/0: the vacuum launches (spontaneous shares, q00).
+ZERO_UNDEFINED = tuple(name for name, ports in _INPUT_PORTS.items() if not ports)
 
 # Why a column is NaN at a point: raw ones within the guard, then the ratios.
 _RANGE_NOTE = "raw photon numbers leave the floating-point range at zeta={zeta!r}"

@@ -15,7 +15,7 @@ import pytest
 
 import ptdimer.observables
 import ptdimer.verification
-from ptdimer.cli import RunSpec, cmd_sweep, main, write_curve_csv
+from ptdimer.cli import RunSpec, UsageError, cmd_figure, cmd_sweep, main, write_curve_csv
 from ptdimer.configurations import (
     Kind,
     UnreachableGammaError,
@@ -189,6 +189,55 @@ def test_config_rejects_mistyped_values(tmp_path, monkeypatch, capsys, fields):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["typed.json"]
 
 
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (None, ["--config", "run.json"], "cannot read config file"),
+        ("{kind: gain-loss", ["--config", "run.json"], "config file is not valid JSON"),
+        ("[]", ["--config", "run.json"], "config file must hold a single JSON object"),
+        ('{"kind": "gain"}', ["--config", "run.json"], "unknown kind 'gain'"),
+        ('{"observable": "x"}', ["--config", "run.json"], "unknown observable 'x'"),
+        (None, ["--zeta-min", "-1"], "zeta-min must be finite and non-negative, got -1.0"),
+        (None, ["--zeta-min", "2", "--zeta-max", "1"], "zeta-max must exceed zeta-min, got 1.0"),
+    ],
+)
+def test_bad_sweep_input_is_a_usage_error(tmp_path, monkeypatch, capsys, config, argv, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.json").write_text(config, encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert main(["sweep", *argv, "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_sweep_creates_the_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--steps", "3", "--out", "new/dir/x.csv"]) == 0
+    assert read_csv(tmp_path / "new" / "dir" / "x.csv")[2].shape == (3, 5)
+
+
+def test_cmd_figure_rejects_unknown_id_before_writing(tmp_path):
+    with pytest.raises(UsageError, match="unknown figure 'fig9'"):
+        cmd_figure("fig9", tmp_path / "figs")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_breaking_a_bound_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # negated sandwiches give negative photon numbers at the first grid point
+    sandwich = ptdimer.observables._sandwich
+    monkeypatch.setattr(ptdimer.observables, "_sandwich", lambda *args: -sandwich(*args))
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--kind", "gain-loss", "--gamma", "-0.5", "--out", "x.csv"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: moments at zeta=0.05 break non-negativity or the Cauchy-Schwarz bound\n",
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_sweep_accepts_runspec_directly(tmp_path):
     run = RunSpec(
         kind="loss-loss",
@@ -284,6 +333,12 @@ def test_verify_fails_at_impossible_tolerance():
 
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--tolerance", "-1"]) == 2
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_run_verification_rejects_a_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        ptdimer.verification.run_verification(tolerance)
 
 
 def test_verify_exit_code_on_failure(monkeypatch):

@@ -9,7 +9,6 @@ from ptdimer.configurations import (
     DimerRealization,
     Kind,
     UnreachableGammaError,
-    conventional_gamma,
     effective_params,
     preset_realization,
     raw_indices,
@@ -126,18 +125,17 @@ def test_every_kind_maps_to_its_sign_pair(nr, g, magnitude):
         assert raw_indices(r) == (complex(nr, im1), complex(nr, im2))
 
 
-def test_conventional_gamma_signs():
-    assert conventional_gamma(Kind.GAIN_GAIN, 1.2) == 1.2
-    assert conventional_gamma(Kind.GAIN_LOSS, 1.2) == -1.2
-    assert conventional_gamma(Kind.LOSS_LOSS, 0.5) == -0.5
-
-
 def test_preset_realization_normalizes_sign():
     # a positive target that the kind cannot reach is read as a magnitude
     r = preset_realization(Kind.GAIN_LOSS, 0.5)
     assert effective_params(r).gamma == -0.5
     # but an explicit negative target for gain-gain is honored as-is
     r = preset_realization(Kind.GAIN_GAIN, -0.5)
+    assert effective_params(r).gamma == -0.5
+    # a kind that reaches the positive target keeps it, one that does not negates it
+    r = preset_realization(Kind.LOSS_LOSS, 0.5)
+    assert effective_params(r).gamma == 0.5
+    r = preset_realization(Kind.PASSIVE_LOSS, 0.5)
     assert effective_params(r).gamma == -0.5
 
 
@@ -154,3 +152,22 @@ def test_realization_validates_magnitudes():
         DimerRealization(kind=Kind.GAIN_LOSS, nr=1.5, g=math.inf, ni=0.5)
     with pytest.raises(ValueError):
         DimerRealization(kind="gain-loss", nr=1.5, g=1.0, ni=0.5)
+
+
+def test_realization_keeps_the_floats_it_validates():
+    # numbers that validate as floats are stored as those floats, so the
+    # device maps to the same parameters as the all-float one
+    loose = DimerRealization(kind=Kind.GAIN_LOSS, nr="1.5", g=1, ni="0.5")
+    exact = DimerRealization(kind=Kind.GAIN_LOSS, nr=1.5, g=1.0, ni=0.5)
+    assert loose == exact
+    assert all(type(getattr(loose, name)) is float for name in ("nr", "g", "ni"))
+    assert repr(effective_params(loose)) == repr(effective_params(exact))
+    pair = DimerRealization(kind=Kind.GAIN_GAIN, nr=2, g="0.5", ni1=1, ni2="3")
+    assert pair == DimerRealization(kind=Kind.GAIN_GAIN, nr=2.0, g=0.5, ni1=1.0, ni2=3.0)
+
+
+def test_unknown_kind_is_reported_after_the_gamma():
+    with pytest.raises(ValueError, match="^unknown kind 'gain-loss'$"):
+        realization_for_gamma("gain-loss", -0.5)
+    with pytest.raises(ValueError, match="gamma target must be nonzero"):
+        realization_for_gamma("gain-loss", 0.0)

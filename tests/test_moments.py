@@ -181,6 +181,21 @@ def test_bad_step_rejected():
         integrate_moments_path(np.zeros((2, 2), complex), dp, (1.0,), step=0.0)
 
 
+@pytest.mark.parametrize(
+    "initial, marks, message",
+    [
+        (np.zeros((3, 3)), (1.0,), "must be 2x2"),
+        (np.diag([math.nan, 0.0]), (1.0,), "must be finite"),
+        (np.zeros((2, 2)), (-0.5, 1.0), "finite and non-negative"),
+        (np.zeros((2, 2)), (1.0, math.inf), "finite and non-negative"),
+    ],
+)
+def test_path_rejects_bad_initial_states_and_marks(initial, marks, message):
+    dp = lossless_coupler()
+    with pytest.raises(ValueError, match=message):
+        integrate_moments_path(initial, dp, marks, step=1e-3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runaway_amplification_overflows():
     dp = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 1.2))
@@ -196,6 +211,18 @@ def test_drift_and_pump_structure():
     # only the amplified guide pumps
     assert np.isclose(dp.d[0, 0], 2.0, rtol=1e-15)
     assert dp.d[1, 1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.ones((3, 3)), "must both be 2x2"),
+        (np.array([[1.5, 1.0], [1.0, math.nan]]), "must be finite"),
+    ],
+)
+def test_drift_and_pump_rejects_bad_drift(m, message):
+    with pytest.raises(ValueError, match=message):
+        DriftAndPump(m=m, d=np.zeros((2, 2)))
 
 
 def test_drift_and_pump_rejects_negative_pump():

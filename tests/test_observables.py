@@ -6,6 +6,7 @@ the tolerances used here.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -308,6 +309,8 @@ def test_asymptotic_shares_frozen_values():
     assert asymptotic_shares(1.0) == (0.5, 0.5)
     with pytest.raises(ValueError):
         asymptotic_shares(0.99)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        asymptotic_shares(math.nan)
 
 
 @given(st.floats(1.0, 25.0))
@@ -478,6 +481,30 @@ def test_sample_curve_rejects_bad_grid():
         sample_curve(p, "spont", np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         sample_curve(p, "nope", np.array([1.0, 2.0]))
+    for grid in ([], [[0.5]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            sample_curve(p, "spont", grid)
+
+
+_GRID_ERRORS = {
+    "below zero": ([-1.0], "zeta must lie in [0, MAX_ZETA = 1e+08]"),
+    "decreasing": ([2.0, 1.0], "zeta grid must be strictly increasing"),
+    "past MAX_ZETA": ([3e8], "zeta must lie in [0, MAX_ZETA = 1e+08]"),
+    "empty": ([], "zeta grid must be a non-empty 1-D array"),
+    "2-D": ([[1.0]], "zeta grid must be a non-empty 1-D array"),
+    "nan": ([math.nan], "zeta must lie in [0, MAX_ZETA = 1e+08]"),
+}
+
+
+@pytest.mark.parametrize("grid, message", _GRID_ERRORS.values(), ids=_GRID_ERRORS.keys())
+def test_moment_bundle_validates_its_grid(grid, message):
+    # the bundle owns the grid contract, so direct callers meet it too
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        moment_bundle(p, grid)
+    # a bad guard is reported before a bad grid
+    with pytest.raises(ValueError, match="^max_magnitude must be positive"):
+        sample_curve(p, "spont", grid, max_magnitude=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +556,8 @@ def test_equal_loss_pair_decays_with_plain_envelope():
 def test_vacuum_moments_validation():
     with pytest.raises(ValueError):
         VacuumMoments(1.0, math.nan, 0.0j)
+    with pytest.raises(ValueError, match="n12 must be finite"):
+        VacuumMoments(1, 1, math.nan)
     with pytest.raises(ValueError):
         VacuumMoments(-1.0, 1.0, 0.0j)
     with pytest.raises(ValueError):
