@@ -46,6 +46,11 @@ _TAYLOR_THETA = 3.539666349
 # Ceiling of the scaled distance x = t ||a|| 2**-s whatever the powers: x^30 / 30!
 # stays finite up to about 2.3e11, so a nearly nilpotent a of large norm is squared too.
 _TAYLOR_MAX_X = 1e11
+# Powers b^0 .. b^31 formed by doubling, of which the series uses b^0 .. b^30; the
+# divisors 1 .. 30 of its coefficients; 1/p for the norm estimates d_p, p = 2 .. 7
+_POWER_COUNT = 1 << _TAYLOR_DEGREE.bit_length()
+_TAYLOR_ORDERS = np.arange(1.0, _TAYLOR_DEGREE + 1)
+_ROOT_ORDERS = 1.0 / np.arange(2, 8)
 
 
 class Regime(enum.Enum):
@@ -98,8 +103,9 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
+@np.errstate(all="ignore")  # non-finite input ends in a non-finite s, or a non-finite square
 def expm(a: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(t_i a) for one (n, n) matrix on a grid t, or for a stack (k, n, n) with one t_i each.
+    """exp(t_i a) for one (n, n) matrix on a grid t, or for a stack (..., n, n) broadcast against t.
 
     Truncated Taylor series of degree 30 with scaling and squaring (A. H. Al-Mohy
     and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011).  The powers of a, divided
@@ -110,32 +116,38 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     p (p - 1) <= 31, times |t| and 2**-s, must not pass theta_30.  Each point's polynomial is its
     own product of 31 coefficients with the powers, squared s times, so a point
     comes out the same, bit for bit, whatever grid or stack it is part of; t = 0
-    and a zero matrix give the identity exactly.  Raises OverflowError where no
+    and a zero matrix give the identity exactly.  The stack's leading axes
+    broadcast against t's: a stack (k, 1, n, n) on a grid of m distances gives
+    (k, m, n, n), every matrix on every distance.  Raises OverflowError where no
     finite squaring count exists (non-finite entries or t, or a 1-norm past the
-    float range).
+    float range); a square that leaves the float range comes out non-finite,
+    without a warning.
     """
     a = np.asarray(a)
     t = np.asarray(t, dtype=float)
     size = a.shape[-1]
-    with np.errstate(all="ignore"):  # non-finite input ends in a non-finite s
-        # a power of two at or above the 1-norm, so that a / norm is exact
-        norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
-        b = a / norm[..., None, None]
-        powers = np.stack([np.broadcast_to(np.eye(size, dtype=a.dtype), a.shape), b], axis=-3)
-        while powers.shape[-3] <= _TAYLOR_DEGREE:  # b^0 .. b^(k-1) times b^k give b^k .. b^(2k-1)
-            step = powers[..., -1:, :, :] @ b[..., None, :, :]
-            powers = np.concatenate([powers, powers @ step], axis=-3)
-        powers = powers[..., : _TAYLOR_DEGREE + 1, :, :]
-        d = _norm1(powers[..., 2:8, :, :]) ** (1.0 / np.arange(2, 8))
-        alpha = np.maximum(d[..., :-1], d[..., 1:]).min(axis=-1)
-        rate = norm * np.maximum(alpha / _TAYLOR_THETA, 1.0 / _TAYLOR_MAX_X)
-        s = np.maximum(np.ceil(np.log2(np.abs(t) * rate)), 0.0)
+    # a power of two at or above the 1-norm, so that a / norm is exact
+    norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
+    b = a / norm[..., None, None]
+    powers = np.empty(a.shape[:-2] + (_POWER_COUNT, size, size), dtype=b.dtype)
+    powers[..., 0, :, :] = np.eye(size)
+    powers[..., 1, :, :] = b
+    k = 2
+    while k < _POWER_COUNT:  # b^0 .. b^(k-1) times b^k give b^k .. b^(2k-1)
+        step = powers[..., k - 1 : k, :, :] @ b[..., None, :, :]
+        np.matmul(powers[..., :k, :, :], step, out=powers[..., k : 2 * k, :, :])
+        k *= 2
+    powers = powers[..., : _TAYLOR_DEGREE + 1, :, :]
+    d = _norm1(powers[..., 2:8, :, :]) ** _ROOT_ORDERS
+    alpha = np.maximum(d[..., :-1], d[..., 1:]).min(axis=-1)
+    rate = norm * np.maximum(alpha / _TAYLOR_THETA, 1.0 / _TAYLOR_MAX_X)
+    s = np.maximum(np.ceil(np.log2(np.abs(t) * rate)), 0.0)
     if not np.all(np.isfinite(s)):
         raise OverflowError("matrix exponential needs finite matrices of moderate norm")
 
     x = t * norm * np.exp2(-s)
     coeffs = np.ones(x.shape + (_TAYLOR_DEGREE + 1,))
-    coeffs[..., 1:] = np.cumprod(x[..., None] / np.arange(1.0, _TAYLOR_DEGREE + 1), axis=-1)
+    coeffs[..., 1:] = np.cumprod(x[..., None] / _TAYLOR_ORDERS, axis=-1)
     stacked = powers.reshape(a.shape[:-2] + (_TAYLOR_DEGREE + 1, size * size))
     r = (coeffs[..., None, :] @ stacked).reshape((-1, size, size))
     s = s.reshape(-1)

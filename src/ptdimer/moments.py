@@ -21,7 +21,10 @@ fixed affine map of vec(N).  On the augmented state w = (vec N, 1) it is the
 applying the four RK4 stages to the basis vectors, and n steps are the
 matrix power P(h)^n, formed by repeated squaring (Higham, Functions of
 Matrices, SIAM 2008, ch. 4).  That is the same RK4 solution, with the same
-truncation error, in O(log n) matrix products instead of n steps.
+truncation error, in O(log n) matrix products instead of n steps.  The
+squarings P, P^2, P^4, ... are formed once per call and shared by every
+distance mark, and a stack of devices (drift and pump of shape (k, 2, 2))
+is carried through the same products at once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,11 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DriftAndPump:
-    """Drift matrix M and pump matrix D of the moment equation."""
+    """Drift matrix M and pump matrix D of the moment equation.
+
+    One device is a pair of 2x2 matrices; a stack of k devices is a pair of
+    (k, 2, 2) arrays, integrated together by ``integrate_moments_path``.
+    """
 
     m: np.ndarray
     d: np.ndarray
@@ -48,11 +55,12 @@ class DriftAndPump:
     def __post_init__(self) -> None:
         m = np.ascontiguousarray(self.m, dtype=complex)
         d = np.ascontiguousarray(self.d, dtype=float)
-        if m.shape != (2, 2) or d.shape != (2, 2):
-            raise ValueError("drift and pump must both be 2x2")
+        if m.shape != d.shape or m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
+            raise ValueError("drift and pump must both be 2x2, or stacks of the same shape")
         if not (np.all(np.isfinite(m.view(float))) and np.all(np.isfinite(d))):
             raise ValueError("drift and pump must be finite")
-        if d[0, 1] != 0.0 or d[1, 0] != 0.0 or d[0, 0] < 0.0 or d[1, 1] < 0.0:
+        rates = np.diagonal(d, axis1=-2, axis2=-1)
+        if np.any(d[..., 0, 1] != 0.0) or np.any(d[..., 1, 0] != 0.0) or np.any(rates < 0.0):
             raise ValueError("pump must be diagonal with non-negative rates")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d", d)
@@ -68,24 +76,25 @@ def drift_and_pump(realization: DimerRealization) -> DriftAndPump:
 
 
 def moment_ode_rhs(state: np.ndarray, dp: DriftAndPump) -> np.ndarray:
-    """Right-hand side i (N M - M^dag N) + D of the moment equation."""
+    """Right-hand side i (N M - M^dag N) + D of the moment equation, per device of a stack."""
     n = np.asarray(state, dtype=complex)
-    return 1j * (n @ dp.m - dp.m.conj().T @ n) + dp.d
+    return 1j * (n @ dp.m - np.swapaxes(dp.m.conj(), -1, -2) @ n) + dp.d
 
 
 def _generator(dp: DriftAndPump) -> np.ndarray:
-    """The RHS as a 5x5 linear map G on the augmented state (vec N, 1).
+    """The RHS as a 5x5 linear map G on the augmented state (vec N, 1), one per device.
 
     Built by probing moment_ode_rhs with basis matrices so the integrator
     cannot drift out of sync with the public right-hand side.
     """
-    gen = np.zeros((5, 5), dtype=complex)
-    const = moment_ode_rhs(np.zeros((2, 2), dtype=complex), dp).ravel()
-    gen[:4, 4] = const
+    stack = dp.m.shape[:-2]
+    gen = np.zeros(stack + (5, 5), dtype=complex)
+    const = moment_ode_rhs(np.zeros((2, 2), dtype=complex), dp).reshape(stack + (4,))
+    gen[..., :4, 4] = const
     for k in range(4):
         basis = np.zeros((2, 2), dtype=complex)
         basis.flat[k] = 1.0
-        gen[:4, k] = moment_ode_rhs(basis, dp).ravel() - const
+        gen[..., :4, k] = moment_ode_rhs(basis, dp).reshape(stack + (4,)) - const
     return gen
 
 
@@ -125,13 +134,17 @@ def integrate_moments_path(
 ) -> list[np.ndarray]:
     """Moment matrices at several increasing distances, by classical fixed-step RK4.
 
-    ``initial`` is one 2x2 matrix or a stack (k, 2, 2) of them; each returned
-    state has the same shape, so one call serves every launch state of a
-    device (a stacked matrix agrees with its own single call to round-off).
-    Each mark is integrated from zero on its own (the full steps as one
-    matrix power, then the last step shortened when the mark is not a
-    multiple of ``step``), so every returned state equals the call with that
-    mark alone, bit for bit.  Raises OverflowError if a state leaves the
+    ``initial`` is one 2x2 matrix or a stack (j, 2, 2) of them, and ``dp`` one
+    device or a stack of k; each returned state has shape (k,) + initial.shape
+    for a stack of devices and initial.shape for one, so one call serves every
+    launch state of every device (a stacked state agrees with its own single
+    call to round-off).  Each mark is integrated from zero on its own: the
+    full steps as the product of the squarings P, P^2, P^4, ... of the step
+    map at the set bits of their count, least significant first as in
+    ``np.linalg.matrix_power``, then the last step shortened when the mark is
+    not a multiple of ``step``.  The squarings are formed once, up to the
+    largest mark, so every returned state equals the call with that mark
+    alone, bit for bit.  Raises OverflowError if a state leaves the
     representable range (runaway amplification).
     """
     if not (math.isfinite(step) and step > 0.0):
@@ -143,22 +156,28 @@ def integrate_moments_path(
         raise ValueError("distances must be strictly increasing")
 
     gen = _generator(dp)
-    full_step = _rk4_step_map(gen, step)
     n0 = _validate_initial(initial)
     states = n0.reshape(-1, 4)
     # one column (vec N, 1) per initial matrix
     w0 = np.vstack((states.T, np.ones(len(states))))
+    splits = [_split_steps(mark, step) for mark in marks]
     out: list[np.ndarray] = []
-    for mark in marks:
-        count, rem = _split_steps(mark, step)
-        # runaway growth surfaces as the OverflowError below, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.linalg.matrix_power(full_step, count) @ w0
+    # runaway growth surfaces as the OverflowError below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        squarings = [_rk4_step_map(gen, step)]  # P^(2^i)
+        while 2 ** len(squarings) <= splits[-1][0]:
+            squarings.append(squarings[-1] @ squarings[-1])
+        for mark, (count, rem) in zip(marks, splits):
+            power = np.broadcast_to(np.eye(5, dtype=complex), gen.shape) if count == 0 else None
+            for bit, square in enumerate(squarings):
+                if count >> bit & 1:
+                    power = square if power is None else power @ square
+            w = power @ w0
             if rem > 0.0:
                 w = _rk4_step_map(gen, rem) @ w
-        if not np.all(np.isfinite(w.view(float))):
-            raise OverflowError(
-                f"moment integration left the representable range near zeta={mark}"
-            )
-        out.append(w[:4].T.reshape(n0.shape))
+            if not np.all(np.isfinite(w.view(float))):
+                raise OverflowError(
+                    f"moment integration left the representable range near zeta={mark}"
+                )
+            out.append(np.swapaxes(w[..., :4, :], -1, -2).reshape(gen.shape[:-2] + n0.shape))
     return out

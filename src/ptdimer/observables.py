@@ -36,7 +36,8 @@ grid is one call expm(G, zetas) of ``core.expm``, a truncated Taylor series
 with scaling and squaring (Al-Mohy and Higham 2011) that forms the powers of G
 once and scales and squares each point by its own count: a grid point equals
 the same point evaluated alone, bit for bit, and decayed products keep their
-accuracy.  The route uses H and the pump weights only, never the moment
+accuracy.  ``moment_bundles`` stacks the generators of many devices, real and
+complex apart, into one such call each, and a device's bundle equals its own.  The route uses H and the pump weights only, never the moment
 equation of ``moments``.
 
 The moments grow like e^{c zeta}, c = 2 (beta + |Im Omega|), so the block is
@@ -180,14 +181,8 @@ def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return sum(weights[:, k, None, None] * term for k, term in enumerate(terms))
 
 
-def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
-    """All moments on a distance grid from one stacked block exponential, envelope divided out.
-
-    Raises ValueError for a grid that is not non-empty, 1-D, in [0, MAX_ZETA] and
-    strictly increasing, and FloatingPointError where the moments break a bound
-    they must satisfy.
-    """
-    zetas = _grid(zetas)
+def _van_loan_generator(params: EffectiveParams):
+    """The shifted block generator G - c I of one device, its pump W, H, and the shift c."""
     w = np.diag(vacuum_pump_weights(params))
     h = hamiltonian(params.n)
     omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
@@ -205,11 +200,42 @@ def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
         [[d, b, bc, 0, 1], [1, d, 0, bc, 0], [1, 0, d, b, 0], [0, 1, 1, d, 0], [0, 0, 0, 0, e]],
         dtype=type(b),
     )
-    blocks = expm(generator, zetas)
-    moments = _sandwich(blocks[:, :4, 4], w, h)
-    n12 = moments[:, 0, 1]
-    n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
-    return MomentBundle(zetas, n1, n2, n12, blocks[:, :4, 0], h, rate * zetas)
+    return generator, w, h, rate
+
+
+def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
+    """The moment bundle of each device on one distance grid, from one exponential per dtype.
+
+    The generators of imaginary-n devices are real and the others complex; each
+    kind is one stacked ``expm`` call, so a device's bundle equals its own
+    ``moment_bundle``, bit for bit.  Raises as ``moment_bundle`` does.
+    """
+    zetas = _grid(zetas)
+    parts = [_van_loan_generator(params) for params in devices]
+    generators = [generator for generator, *_ in parts]
+    blocks: list = [None] * len(parts)
+    for dtype in dict.fromkeys(generator.dtype for generator in generators):
+        chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
+        stack = np.array([generators[i] for i in chosen])
+        for i, grid_blocks in zip(chosen, expm(stack[:, None], zetas)):
+            blocks[i] = grid_blocks
+    bundles = []
+    for (_, w, h, rate), grid_blocks in zip(parts, blocks):
+        moments = _sandwich(grid_blocks[:, :4, 4], w, h)
+        n12 = moments[:, 0, 1]
+        n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
+        bundles.append(MomentBundle(zetas, n1, n2, n12, grid_blocks[:, :4, 0], h, rate * zetas))
+    return bundles
+
+
+def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
+    """All moments on a distance grid from one stacked block exponential, envelope divided out.
+
+    Raises ValueError for a grid that is not non-empty, 1-D, in [0, MAX_ZETA] and
+    strictly increasing, and FloatingPointError where the moments break a bound
+    they must satisfy.
+    """
+    return moment_bundles((params,), zetas)[0]
 
 
 def with_envelope(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:

@@ -6,13 +6,15 @@ built from the coupling matrix H and the pump weights (C. F. Van Loan, IEEE
 TAC 23(3), 1978; `core` / `observables`), and direct fixed-step integration
 of the second-moment equation of motion from its drift and pump (`moments`).
 This module drives both over a grid of device kinds, inversion strengths and
-distances, and reports the worst disagreement.  The oracle checks read one
-``moment_bundle`` per device, and four launch states from it: vacuum, one
-photon in guide 1, one photon in guide 2, and the two-photon N00N input.  For
-each, the full moment matrix <a_i^dag a_j>, cross moment included, is
-compared with the oracle, which integrates every launch state of a device in
-one call.  The correlation checks read the production q00 and q2002 columns
-through ``sample_curve``.  The module also exercises the structural
+distances, and reports the worst disagreement.  The devices are evaluated
+as stacks.  The oracle checks read each device's moment bundle, all from one
+``moment_bundles`` call, and four launch states from it: vacuum, one photon
+in guide 1, one photon in guide 2, and the two-photon N00N input.  For each,
+the full moment matrix <a_i^dag a_j>, cross moment included, is compared with
+the oracle, which integrates every launch state of every device in one call
+on the stacked drift and pump.  The correlation checks read the production
+q00 and q2002 columns, as ``sample_curve`` builds them, from one
+``moment_bundles`` call per check.  The module also exercises the structural
 identities the transfer matrix must satisfy on its own (determinant,
 composition, the degenerate limit, agreement with ``core.expm``, the Taylor
 scaling-and-squaring exponential, on exp(i zeta H), one zeta per sample).
@@ -39,8 +41,8 @@ from .configurations import (
     realization_for_gamma,
 )
 from .core import expm, hamiltonian, propagator
-from .moments import drift_and_pump, integrate_moments_path
-from .observables import launch_moments, moment_bundle, sample_curve, with_envelope
+from .moments import DriftAndPump, drift_and_pump, integrate_moments_path
+from .observables import _curve_columns, launch_moments, moment_bundles, with_envelope
 
 GRID_GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 GRID_ZETAS = (0.5, 1.0, 2.0, 5.0)
@@ -196,54 +198,64 @@ _TWO_PHOTON_KINDS = (Kind.GAIN_LOSS, Kind.GAIN_GAIN)
 def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
     """Compare the full moment matrix of each launch state with the moment oracle.
 
-    Every reachable device gets one moment bundle on the distance marks; the
-    two-photon state is checked on the gain-loss and gain-gain devices of the
-    first magnitude.
+    Every reachable device gets its moment bundle on the distance marks, all
+    from one ``moment_bundles`` call, and its oracle paths for every launch
+    state, all from one ``integrate_moments_path`` call on the stacked drift
+    and pump.  The two-photon state is checked on the gain-loss and gain-gain
+    devices of the first magnitude.
     """
-    for kind in Kind:
-        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES):
-            states = _LAUNCH_STATES
-            if number == 0 and kind in _TWO_PHOTON_KINDS:
-                states += (_TWO_PHOTON_STATE,)
-            for realization in _reachable(kind, (magnitude,)):
-                params = effective_params(realization)
-                dp = drift_and_pump(realization)
-                bundle = moment_bundle(params, GRID_ZETAS)
-                frame = np.exp(-2.0 * params.beta * bundle.zetas)
-                device = f"{kind.value} gamma={params.gamma:+.2f}"
-                initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in states])
-                oracle = integrate_moments_path(initial, dp, GRID_ZETAS, step=ORACLE_STEP)
-                for (name, ports), path in zip(states, np.stack(oracle, axis=1)):
-                    gaps = np.abs(with_envelope(bundle, launch_moments(bundle, ports)) - path)
-                    worst = float(np.max(gaps.max(axis=(1, 2)) * frame))
-                    report.checks.append(Check(name.format(device=device), worst, tolerance))
+    devices = [
+        (kind, number, realization)
+        for kind in Kind
+        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES)
+        for realization in _reachable(kind, (magnitude,))
+    ]
+    launches = _LAUNCH_STATES + (_TWO_PHOTON_STATE,)
+    initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in launches])
+    pumps = [drift_and_pump(realization) for _, _, realization in devices]
+    stacked = DriftAndPump(m=[dp.m for dp in pumps], d=[dp.d for dp in pumps])
+    oracle = np.stack(integrate_moments_path(initial, stacked, GRID_ZETAS, step=ORACLE_STEP), 2)
+    params = [effective_params(realization) for _, _, realization in devices]
+    bundles = moment_bundles(params, GRID_ZETAS)
+    for (kind, number, _), p, bundle, paths in zip(devices, params, bundles, oracle):
+        states = _LAUNCH_STATES
+        if number == 0 and kind in _TWO_PHOTON_KINDS:
+            states += (_TWO_PHOTON_STATE,)
+        frame = np.exp(-2.0 * p.beta * bundle.zetas)
+        device = f"{kind.value} gamma={p.gamma:+.2f}"
+        for (name, ports), path in zip(states, paths):
+            gaps = np.abs(with_envelope(bundle, launch_moments(bundle, ports)) - path)
+            worst = float(np.max(gaps.max(axis=(1, 2)) * frame))
+            report.checks.append(Check(name.format(device=device), worst, tolerance))
 
 
-def _production_column(
-    realization: DimerRealization, observable: str, zetas: tuple[float, ...]
-) -> np.ndarray:
-    """The CSV column ``observable`` of one device, unguarded."""
-    params = effective_params(realization)
-    curve = sample_curve(params, observable, zetas, max_magnitude=None)
-    return curve.column(observable)
+def _production_columns(
+    realizations: list[DimerRealization], observable: str, zetas: tuple[float, ...]
+) -> list[np.ndarray]:
+    """The CSV column ``observable`` of each device, unguarded, from one ``moment_bundles`` call."""
+    bundles = moment_bundles([effective_params(r) for r in realizations], zetas)
+    return [_curve_columns(b, observable, np.array([True]))[observable] for b in bundles]
 
 
 def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
     # q00 is bounded wherever a guide has gain; NaN (a gap) propagates through
     # np.max and fails the check
+    pumped = [
+        realization
+        for kind in Kind
+        for realization in _reachable(kind, GRID_GAMMA_MAGNITUDES)
+        if any(n.imag < 0.0 for n in raw_indices(realization))
+    ]
     bounds = [0.0]
-    for kind in Kind:
-        for realization in _reachable(kind, GRID_GAMMA_MAGNITUDES):
-            if any(n.imag < 0.0 for n in raw_indices(realization)):
-                q = _production_column(realization, "q00", (0.3, 1.7, 4.1))
-                bounds.extend(np.maximum(-q, q - 1.0))
+    for q in _production_columns(pumped, "q00", (0.3, 1.7, 4.1)):
+        bounds.extend(np.maximum(-q, q - 1.0))
     report.checks.append(
         Check("vacuum correlation bounded in [0, 1]", float(np.max(bounds)), POSITIVITY_TOL)
     )
 
     anchors = [0.0]
-    for kind in Kind:
-        q = _production_column(preset_realization(kind, 0.7), "q2002", (0.0,))
+    presets = [preset_realization(kind, 0.7) for kind in Kind]
+    for q in _production_columns(presets, "q2002", (0.0,)):
         anchors.extend(np.abs(q + 1.0))
     report.checks.append(
         Check("two-photon correlation anchored at -1", float(np.max(anchors)), tolerance)

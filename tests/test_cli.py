@@ -370,13 +370,13 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
     # feed the N00N interference term of q2002; the vacuum moments (formed
     # inside moment_bundle) and the photon numbers stay intact, so only full
     # moment matrices can notice
-    moment_bundle, sandwich = ptdimer.observables.moment_bundle, ptdimer.observables._sandwich
+    moment_bundles, sandwich = ptdimer.observables.moment_bundles, ptdimer.observables._sandwich
     products = []
 
     def recorded(*args, **kwargs):
-        bundle = moment_bundle(*args, **kwargs)
-        products.append(bundle.products)
-        return bundle
+        bundles = moment_bundles(*args, **kwargs)
+        products.extend(bundle.products for bundle in bundles)
+        return bundles
 
     def halved(weights, x, h):
         moments = sandwich(weights, x, h)
@@ -385,7 +385,7 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
         return moments
 
     for module in (ptdimer.observables, ptdimer.verification):
-        monkeypatch.setattr(module, "moment_bundle", recorded)
+        monkeypatch.setattr(module, "moment_bundles", recorded)
     monkeypatch.setattr(ptdimer.observables, "_sandwich", halved)
     report = ptdimer.verification.run_verification(1e-7)
     assert not report.ok
@@ -524,6 +524,18 @@ def test_generator_past_the_float_range_exits_1_with_one_error_line(tmp_path, ca
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_squarings_past_the_float_range_leak_no_warning(tmp_path, capsys):
+    # the exponential's squarings overflow here; the non-finite moments end in one error line
+    argv = ["sweep", "--kind", "loss-loss", "--gamma=135750363313.5263", "--observable", "all"]
+    argv += ["--zeta-max=1727071.5446579221", "--steps", "3", "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_steep_gain_loss_sweep_exits_0(tmp_path, capsys):

@@ -108,14 +108,23 @@ def test_partial_final_step_matches_continuation():
     assert np.allclose(direct, fine, rtol=1e-9, atol=1e-12)
 
 
+def stacked(*realizations):
+    """One DriftAndPump carrying the drift and pump of every device given."""
+    pumps = [drift_and_pump(realization) for realization in realizations]
+    return DriftAndPump(m=np.array([dp.m for dp in pumps]), d=np.array([dp.d for dp in pumps]))
+
+
 def test_path_matches_single_shot_bitwise():
-    dp = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 0.5))
+    one = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 0.5))
+    stack = stacked(*(realization_for_gamma(kind, -0.5) for kind in Kind))
     initial = np.diag([0.0, 1.0]).astype(complex)
     marks = (0.5, 1.0, 2.0)
-    path = integrate_moments_path(initial, dp, marks, step=1e-3)
-    for zeta, state in zip(marks, path):
-        single = integrate_moments_path(initial, dp, (zeta,), step=1e-3)[0]
-        assert np.array_equal(state, single)
+    for dp in (one, stack):
+        path = integrate_moments_path(initial, dp, marks, step=1e-3)
+        for zeta, state in zip(marks, path):
+            single = integrate_moments_path(initial, dp, (zeta,), step=1e-3)[0]
+            assert state.shape == dp.m.shape
+            assert np.array_equal(state, single)
 
 
 def test_path_matches_single_shot_bitwise_off_the_step_grid():
@@ -139,6 +148,20 @@ def test_stacked_initial_states_match_per_launch_calls():
         for initial, state in zip(launches, states):
             single = integrate_moments_path(initial, dp, (zeta,), step=4e-4)[0]
             assert np.allclose(state, single, rtol=1e-14, atol=0.0)
+
+
+def test_stacked_devices_match_per_device_calls():
+    realizations = [realization_for_gamma(kind, -1.2) for kind in Kind]
+    realizations += [realization_for_gamma(Kind.GAIN_GAIN, 0.5)]
+    launches = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)])
+    marks = (0.0, 0.5, 0.50017, 1.23456, 5.0)
+    path = integrate_moments_path(launches, stacked(*realizations), marks, step=4e-4)
+    for zeta, states in zip(marks, path):
+        assert states.shape == (len(realizations), 4, 2, 2)
+        for realization, device_states in zip(realizations, states):
+            dp = drift_and_pump(realization)
+            single = integrate_moments_path(launches, dp, (zeta,), step=4e-4)[0]
+            assert np.allclose(device_states, single, rtol=1e-14, atol=0.0)
 
 
 def _rk4_loop(initial, dp, zeta, step):
@@ -223,6 +246,22 @@ def test_drift_and_pump_structure():
 def test_drift_and_pump_rejects_bad_drift(m, message):
     with pytest.raises(ValueError, match=message):
         DriftAndPump(m=m, d=np.zeros((2, 2)))
+
+
+def test_stacked_drift_and_pump_rejects_a_bad_device():
+    good = stacked(*(realization_for_gamma(kind, -0.5) for kind in Kind))
+    with pytest.raises(ValueError, match="must both be 2x2"):
+        DriftAndPump(m=good.m, d=good.d[:-1])
+    with pytest.raises(ValueError, match="must both be 2x2"):
+        DriftAndPump(m=good.m[0], d=good.d)
+    pump = good.d.copy()
+    pump[3, 1, 1] = -0.1
+    with pytest.raises(ValueError, match="non-negative rates"):
+        DriftAndPump(m=good.m, d=pump)
+    drift = good.m.copy()
+    drift[2, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        DriftAndPump(m=drift, d=good.d)
 
 
 def test_drift_and_pump_rejects_negative_pump():

@@ -5,6 +5,7 @@ The frozen numbers below were produced by the independent moment integrator
 the tolerances used here.
 """
 
+import dataclasses
 import math
 import re
 import warnings
@@ -37,6 +38,7 @@ from ptdimer.observables import (
     asymptotic_shares,
     launch_moments,
     moment_bundle,
+    moment_bundles,
     noon_photon_numbers,
     noon_two_point,
     q_noon,
@@ -607,7 +609,7 @@ def test_decayed_field_transfer_matches_propagator():
 def _generator(monkeypatch, kind, gamma, grid):
     """The block generator moment_bundle exponentiates, and the grid it goes with."""
     seen = []
-    monkeypatch.setattr(observables, "expm", lambda a, t: seen.append((a, t)) or expm(a, t))
+    monkeypatch.setattr(observables, "expm", lambda a, t: seen.append((a[0, 0], t)) or expm(a, t))
     moment_bundle(params_for(kind, gamma), grid)
     return seen[0]
 
@@ -670,6 +672,12 @@ def test_expm_stack_equals_per_matrix_calls():
     together = expm(stack, ts)
     for a, t, block in zip(stack, ts, together):
         assert np.array_equal(block, expm(a, t))
+    # a (k, 1, n, n) stack broadcast against an m-point grid: every matrix on every point
+    grid = np.array([0.0, 0.05, 1.3, 2.5, 40.0])
+    on_grid = expm(stack[:, None], grid)
+    assert on_grid.shape == (60, 5, 2, 2)
+    for a, blocks in zip(stack, on_grid):
+        assert np.array_equal(blocks, expm(a, grid))
 
 
 def test_expm_of_norm_1e12_stays_finite():
@@ -746,7 +754,7 @@ def _bundle_and_stack(p, grid):
     """moment_bundle on a grid, and the block generator it hands to expm."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(observables, "expm", lambda a, t: seen.append(a) or expm(a, t))
+        patch.setattr(observables, "expm", lambda a, t: seen.append(a[0, 0]) or expm(a, t))
         bundle = moment_bundle(p, grid)
     return bundle, seen[0]
 
@@ -772,6 +780,22 @@ def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
     pairs += [(launch_moments(real, ports), launch_moments(cplx, ports)) for ports in ((), (0,), (1,))]
     for ours, reference in pairs:
         assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_moment_bundles_equal_one_device_bundles_bitwise():
+    # one imaginary-n device of every kind (a real stack) and a detuned one (a complex
+    # stack) in between: each bundle is its device's own, field by field and in order
+    devices = [params_for(kind, -0.5) for kind in Kind]
+    devices.insert(2, EffectiveParams(0.3 - 0.5j, 0.2j))
+    grid = np.array([0.0, 0.5, 1.7, 20.0])
+    bundles = moment_bundles(devices, grid)
+    assert len(bundles) == len(devices)
+    for params, bundle in zip(devices, bundles):
+        alone = moment_bundle(params, grid)
+        for field in dataclasses.fields(alone):
+            mine, reference = getattr(bundle, field.name), getattr(alone, field.name)
+            assert mine.dtype == reference.dtype and np.array_equal(mine, reference), field.name
+    assert bundles[2].products.dtype == np.complex128
 
 
 def test_presets_exponentiate_real_stacks(tmp_path, monkeypatch):
