@@ -14,12 +14,17 @@ where the phase Omega zeta still carries about 8 digits.  Exit codes: 0 success,
 1 runtime failure (I/O, a failed verify, moments breaking a bound), 2 usage
 error (a bad option or config value, --zeta-max past MAX_ZETA, a device past the
 float range); a usage error prints one 'usage error:' line and writes no file.
+A sweep's gap notes ('note: zeta=...' lines, in grid order) go to stderr in one
+block after the CSV is written.  The argument parser is built once per process
+and reused, so repeated in-process ``main`` calls pay for it once; each call
+parses into a fresh namespace, so no value carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -184,8 +189,8 @@ def cmd_sweep(run: RunSpec) -> int:
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(path, kind, params, run.nr, run.g, curve)
-    for index, note in curve.gaps:
-        print(f"note: zeta={curve.zetas[index]:g}: {note}", file=sys.stderr)
+    zetas = curve.zetas.tolist()
+    sys.stderr.write("".join(f"note: zeta={zetas[i]:g}: {note}\n" for i, note in curve.gaps))
     print(f"wrote {path} ({curve.zetas.size} rows)")
     return 0
 
@@ -248,6 +253,7 @@ def _resolve_runspec(args: argparse.Namespace) -> RunSpec:
         raise UsageError(f"invalid sweep parameters: {exc}") from exc
 
 
+@functools.cache  # parse_args fills a fresh Namespace each call, so nothing carries over
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptdimer",

@@ -113,15 +113,17 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     overflow), are formed once per matrix.  As ||(t a)^p||_1 = |t|^p ||a^p||_1,
     the squaring count s of each point follows from scalars: the smallest
     alpha_p = max(d_p, d_{p+1}), d_p = ||a^p||_1^(1/p), over p >= 2 with
-    p (p - 1) <= 31, times |t| and 2**-s, must not pass theta_30.  Each point's polynomial is its
-    own product of 31 coefficients with the powers, squared s times, so a point
-    comes out the same, bit for bit, whatever grid or stack it is part of; t = 0
-    and a zero matrix give the identity exactly.  The stack's leading axes
-    broadcast against t's: a stack (k, 1, n, n) on a grid of m distances gives
-    (k, m, n, n), every matrix on every distance.  Raises OverflowError where no
-    finite squaring count exists (non-finite entries or t, or a 1-norm past the
-    float range); a square that leaves the float range comes out non-finite,
-    without a warning.
+    p (p - 1) <= 31, times |t| and 2**-s, must not pass theta_30.  Each point's
+    polynomial is its own product of 31 coefficients with the powers, squared s
+    times, so a point comes out the same, bit for bit, whatever grid or stack it
+    is part of; t = 0 and a zero matrix give the identity exactly.  The points
+    are sorted once by s (stable), so round j squares the suffix of points with
+    s > j in one product, and the results are scattered back once at the end.
+    The stack's leading axes broadcast against t's: a stack (k, 1, n, n) on a
+    grid of m distances gives (k, m, n, n), every matrix on every distance.
+    Raises OverflowError where no finite squaring count exists (non-finite
+    entries or t, or a 1-norm past the float range); a square that leaves the
+    float range comes out non-finite, without a warning.
     """
     a = np.asarray(a)
     t = np.asarray(t, dtype=float)
@@ -150,11 +152,15 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     coeffs[..., 1:] = np.cumprod(x[..., None] / _TAYLOR_ORDERS, axis=-1)
     stacked = powers.reshape(a.shape[:-2] + (_TAYLOR_DEGREE + 1, size * size))
     r = (coeffs[..., None, :] @ stacked).reshape((-1, size, size))
-    s = s.reshape(-1)
-    for done in range(int(s.max(initial=0.0))):
-        short = s > done
-        r[short] = r[short] @ r[short]
-    return r.reshape(x.shape + (size, size))
+    # sorted by squaring count, the points still to square in a round are a suffix
+    order = np.argsort(s.reshape(-1), kind="stable")
+    counts, r = s.reshape(-1)[order], r[order]
+    for done in range(int(counts.max(initial=0.0))):
+        start = np.searchsorted(counts, done, side="right")
+        r[start:] = r[start:] @ r[start:]
+    out = np.empty_like(r)
+    out[order] = r
+    return out.reshape(x.shape + (size, size))
 
 
 def propagator(n: complex, zeta: float) -> np.ndarray:

@@ -37,8 +37,9 @@ with scaling and squaring (Al-Mohy and Higham 2011) that forms the powers of G
 once and scales and squares each point by its own count: a grid point equals
 the same point evaluated alone, bit for bit, and decayed products keep their
 accuracy.  ``moment_bundles`` stacks the generators of many devices, real and
-complex apart, into one such call each, and a device's bundle equals its own.  The route uses H and the pump weights only, never the moment
-equation of ``moments``.
+complex apart, into one such call each, and a device's bundle equals its own.
+The route uses H and the pump weights only, never the moment equation of
+``moments``.
 
 The moments grow like e^{c zeta}, c = 2 (beta + |Im Omega|), so the block is
 exponentiated shifted, expm(zeta (G - c I)) = e^{-c zeta} expm(zeta G) (Higham,
@@ -557,13 +558,15 @@ def sample_curve(
     grid = bundle.zetas
     columns = _curve_columns(bundle, observable, raw_ok)
 
-    gaps = [(int(i), _growth_note(exponents[i], max_magnitude)) for i in np.flatnonzero(~raw_ok)]
-    for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])):
-        gaps.append((int(i), _RANGE_NOTE.format(zeta=float(grid[i]))))
+    # Python floats and ints print as the numpy scalars would, without one per point
+    zetas, peaks = grid.tolist(), exponents.tolist()
+    gaps = [(i, _growth_note(peaks[i], max_magnitude)) for i in np.flatnonzero(~raw_ok).tolist()]
+    for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])).tolist():
+        gaps.append((i, _RANGE_NOTE.format(zeta=zetas[i])))
     for name, reason in _GAP_REASONS.items():
         if name in columns:
-            for i in np.flatnonzero(np.isnan(columns[name])):
-                gaps.append((int(i), reason.format(zeta=float(grid[i]))))
+            for i in np.flatnonzero(np.isnan(columns[name])).tolist():
+                gaps.append((i, reason.format(zeta=zetas[i])))
     gaps.sort(key=lambda gap: gap[0])
     for values in columns.values():
         values.flags.writeable = False

@@ -15,7 +15,15 @@ import pytest
 
 import ptdimer.observables
 import ptdimer.verification
-from ptdimer.cli import RunSpec, UsageError, cmd_figure, cmd_sweep, main, write_curve_csv
+from ptdimer.cli import (
+    RunSpec,
+    UsageError,
+    build_parser,
+    cmd_figure,
+    cmd_sweep,
+    main,
+    write_curve_csv,
+)
 from ptdimer.configurations import (
     Kind,
     UnreachableGammaError,
@@ -416,6 +424,80 @@ def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):
     # one growth-guard note per row with raw columns gapped, and no other note
     notes = [line for line in err.splitlines() if line.startswith("note: ")]
     assert len(notes) == guarded.sum() and all("exceeds the guard" in n for n in notes)
+
+
+_GUARD_TAIL = " exceeds the guard 1e+12; raw photon numbers are saturation-dominated here\n"
+_FROZEN_NOTES = {
+    # the :g zeta and the .1f exponent of growth-guard notes
+    "--kind gain-gain --gamma 3 --observable all --zeta-max 300 --steps 6": (
+        "note: zeta=60.04: predicted magnitude e^1060.1" + _GUARD_TAIL
+        + "note: zeta=120.03: predicted magnitude e^2119.4" + _GUARD_TAIL
+        + "note: zeta=180.02: predicted magnitude e^3178.6" + _GUARD_TAIL
+        + "note: zeta=240.01: predicted magnitude e^4237.8" + _GUARD_TAIL
+        + "note: zeta=300: predicted magnitude e^5297.1" + _GUARD_TAIL
+    ),
+    # the repr zeta of ratio notes, and two notes of one point in column order
+    "--kind loss-loss --gamma 0.5 --observable all --zeta-max 300 --steps 4": (
+        "note: zeta=0.05: renormalization undefined at zeta=0.05: no photons\n"
+        "note: zeta=0.05: q00 undefined at zeta=0.05: no spontaneous field\n"
+        "note: zeta=100.033: renormalization undefined at zeta=100.03333333333333: no photons\n"
+        "note: zeta=100.033: q00 undefined at zeta=100.03333333333333: no spontaneous field\n"
+        "note: zeta=200.017: renormalization undefined at zeta=200.01666666666668: no photons\n"
+        "note: zeta=200.017: q00 undefined at zeta=200.01666666666668: no spontaneous field\n"
+        "note: zeta=300: renormalization undefined at zeta=300.0: no photons\n"
+        "note: zeta=300: q00 undefined at zeta=300.0: no spontaneous field\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", _FROZEN_NOTES, ids=["growth", "ratios"])
+def test_gap_notes_are_frozen_bytes(tmp_path, capsys, args):
+    assert main(["sweep", *args.split(), "--out", str(tmp_path / "notes.csv")]) == 0
+    assert capsys.readouterr().err == _FROZEN_NOTES[args]
+
+
+def test_repeated_in_process_calls_leave_no_state_behind(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # figure writes to ./figures by default
+    (tmp_path / "config.json").write_text('{"steps": 9, "zeta_min": 0.3}', encoding="utf-8")
+    every_flag = [
+        "sweep", "--config", "config.json", "--kind", "gain-gain", "--gamma", "3",
+        "--nr", "1.2", "--g", "0.8", "--observable", "all", "--zeta-min", "0.1",
+        "--zeta-max", "300", "--steps", "7", "--out", "every.csv",
+    ]  # fmt: skip
+    calls = [
+        every_flag,
+        ["sweep", "--out", "defaults.csv"],
+        ["sweep", "--kind", "no-such-kind", "--out", "never.csv"],
+        ["sweep", "--steps", "1", "--out", "never.csv"],
+        ["figure", "fig5", "--steps", "14"],
+        ["verify"],
+    ]
+
+    def snapshot(argv):
+        """Exit code, stdout, stderr and the CSVs written by one call, which are then removed."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.rglob("*.csv"))}
+        for path in tmp_path.rglob("*.csv"):
+            path.unlink()
+        return (code, captured.out, captured.err), files
+
+    build_parser.cache_clear()
+    reused = [snapshot(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1  # one parser served every call
+    assert [code for (code, _, _), _ in reused] == [0, 0, 2, 2, 0, 0]
+    assert "note: " in reused[0][0][2]
+    # the bare sweep gets RunSpec's defaults, not the first sweep's values or notes
+    (_, _, defaults_err), defaults_files = reused[1]
+    defaults_csv = defaults_files["defaults.csv"].decode()
+    assert defaults_csv.startswith("# kind=gain-loss, gamma=-0.5, beta=0, nr=1.5, g=1, ")
+    assert defaults_csv.count("\n") == 2 + RunSpec().steps and defaults_err == ""
+    for argv, outcome in zip(calls, reused):
+        build_parser.cache_clear()
+        assert snapshot(argv) == outcome, argv
 
 
 @pytest.mark.parametrize(

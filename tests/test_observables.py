@@ -680,6 +680,22 @@ def test_expm_stack_equals_per_matrix_calls():
         assert np.array_equal(blocks, expm(a, grid))
 
 
+def test_expm_interleaved_squaring_counts_equal_per_point_calls():
+    # generators of 1-norm 2, 38 and 2.2 (the last complex, so the stack is complex) on an
+    # unsorted grid with 0: squaring counts 0 .. 11, interleaved across the flattened stack
+    devices = [effective_params(realization_for_gamma(Kind.GAIN_GAIN, g)) for g in (0.2, 4.0)]
+    devices.append(EffectiveParams(complex(0.3, -0.25), complex(1.6, -0.65)))
+    stack = np.array([observables._van_loan_generator(params)[0] for params in devices])
+    grid = np.array([37.0, 0.0, 300.0, 0.4, 5.5, 120.0, 1.0, 0.05, 64.0, 12.0, 250.0, 2.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = expm(stack[:, None], grid)
+        for a, blocks in zip(stack, together):
+            for t, block in zip(grid, blocks):
+                assert np.array_equal(block, expm(a, t))
+    assert np.array_equal(together[:, 1], np.broadcast_to(np.eye(5), (3, 5, 5)))
+
+
 def test_expm_of_norm_1e12_stays_finite():
     # (nearly) nilpotent: vanishing powers must not let x^30 / 30! overflow
     nilpotent = np.array([[0.0, 1e12], [0.0, 0.0]])
