@@ -9,11 +9,13 @@ Three subcommands:
 Sweeps write a single CSV with one row per propagation distance: a leading
 '#' metadata line (kind, gamma, beta, nr, g, observable), a header row, then
 17-significant-digit values separated by commas.  Identical inputs produce
-byte-identical files.  A sweep reaches at most MAX_ZETA = 1e8 coupling lengths,
-where the phase Omega zeta still carries about 8 digits.  Exit codes: 0 success,
-1 runtime failure (I/O, a failed verify, moments breaking a bound), 2 usage
-error (a bad option or config value, --zeta-max past MAX_ZETA, a device past the
-float range); a usage error prints one 'usage error:' line and writes no file.
+byte-identical files; each figure panel is written as one such sweep.  A sweep
+reaches at most MAX_ZETA = 1e8 coupling lengths, where the phase Omega zeta still
+carries about 8 digits.  Exit codes: 0 success, 1 runtime failure (I/O, a failed
+verify, moments breaking a bound), 2 usage error (an option argparse rejects, a
+bad config value, --zeta-max past MAX_ZETA, a grid too fine for its window, a
+device past the float range); a usage error prints one 'usage error:' line and
+writes no file.  ``main`` returns the code and never raises: only -h exits, with 0.
 A sweep's gap notes ('note: zeta=...' lines, in grid order) go to stderr in one
 block after the CSV is written.  The argument parser is built once per process
 and reused, so repeated in-process ``main`` calls pay for it once; each call
@@ -31,6 +33,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -120,11 +123,6 @@ class RunSpec:
         self.steps = int(self.steps)
 
 
-def _fmt(value: float) -> str:
-    # The + 0.0 folds negative zero so equal values always print identically.
-    return format(float(value) + 0.0, ".17g")
-
-
 def write_curve_csv(
     path: Path,
     kind: Kind,
@@ -133,37 +131,33 @@ def write_curve_csv(
     g: float,
     curve: ObservableCurve,
 ) -> None:
+    # every number prints as %.17g of value + 0.0, which folds negative zero,
+    # so equal values always print identically
+    head = (params.gamma, params.beta, nr, g)
     lines = [
-        f"# kind={kind.value}, gamma={_fmt(params.gamma)}, beta={_fmt(params.beta)}, "
-        f"nr={_fmt(nr)}, g={_fmt(g)}, observable={curve.observable}"
+        "# kind=%s, gamma=%.17g, beta=%.17g, nr=%.17g, g=%.17g, observable=%s"
+        % (kind.value, *(value + 0.0 for value in head), curve.observable),
+        ",".join(("zeta",) + curve.columns),
     ]
-    lines.append(",".join(("zeta",) + curve.columns))
     table = np.column_stack([curve.zetas] + [curve.column(name) for name in curve.columns])
-    row = ",".join(["%.17g"] * table.shape[1])  # each cell as _fmt prints it
+    row = ",".join(["%.17g"] * table.shape[1])
     lines.extend(row % tuple(cells) for cells in (table + 0.0).tolist())
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 2:
-        raise UsageError(f"steps must be at least 2, got {steps}")
-    if steps > MAX_STEPS:
-        raise UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
-
-
-def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
+def _write_sweep(run: RunSpec) -> ObservableCurve:
+    """Validate one sweep, sample its curve and write its CSV; a usage error writes no file."""
     try:
         kind = Kind(run.kind)
     except ValueError as exc:
         raise UsageError(
             f"unknown kind {run.kind!r}; choose from {[k.value for k in Kind]}"
         ) from exc
-    if run.observable not in CURVE_COLUMNS:
-        raise UsageError(
-            f"unknown observable {run.observable!r}; choose from {sorted(CURVE_COLUMNS)}"
-        )
-    _check_steps(run.steps)
+    if run.steps < 2:
+        raise UsageError(f"steps must be at least 2, got {run.steps}")
+    if run.steps > MAX_STEPS:
+        raise UsageError(f"steps must be at most {MAX_STEPS}, got {run.steps}")
     if not (math.isfinite(run.zeta_min) and run.zeta_min >= 0.0):
         raise UsageError(f"zeta-min must be finite and non-negative, got {run.zeta_min}")
     if not (math.isfinite(run.zeta_max) and run.zeta_max > run.zeta_min):
@@ -174,45 +168,42 @@ def _sweep_curve(run: RunSpec) -> tuple[Kind, EffectiveParams, ObservableCurve]:
         raise UsageError(
             f"observable {run.observable!r} is undefined at zeta=0; use zeta-min > 0"
         )
+    # the library's own checks: an unreachable device, an unknown observable, and
+    # a grid whose end points are so close that linspace repeats a point
     try:
         params = effective_params(preset_realization(kind, run.gamma, nr=run.nr, g=run.g))
+        grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
+        curve = sample_curve(params, run.observable, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
-    curve = sample_curve(params, run.observable, grid)
-    return kind, params, curve
+    path = Path(run.out)
+    if not path.parent.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    write_curve_csv(path, kind, params, run.nr, run.g, curve)
+    return curve
 
 
 def cmd_sweep(run: RunSpec) -> int:
-    kind, params, curve = _sweep_curve(run)
-    path = Path(run.out)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(path, kind, params, run.nr, run.g, curve)
+    curve = _write_sweep(run)
     zetas = curve.zetas.tolist()
     sys.stderr.write("".join(f"note: zeta={zetas[i]:g}: {note}\n" for i, note in curve.gaps))
-    print(f"wrote {path} ({curve.zetas.size} rows)")
+    print(f"wrote {Path(run.out)} ({curve.zetas.size} rows)")
     return 0
 
 
 def cmd_figure(figure_id: str, out_dir: Path, steps: int = DEFAULT_FIGURE_STEPS) -> int:
     if figure_id not in FIGURES:
         raise UsageError(f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}")
-    _check_steps(steps)
     observable, kinds, zeta_min, zeta_max = FIGURES[figure_id]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(zeta_min, zeta_max, steps)
-    written = []
-    for kind in kinds:
-        for magnitude in GAMMA_MAGNITUDES:
-            realization = preset_realization(kind, magnitude)
-            params = effective_params(realization)
-            curve = sample_curve(params, observable, grid)
-            path = out_dir / f"{figure_id}_{kind.value}_gamma{magnitude:g}.csv"
-            write_curve_csv(path, kind, params, realization.nr, realization.g, curve)
-            written.append(path)
-    print(f"wrote {len(written)} panel files to {out_dir}")
+    panels = [(kind, magnitude) for kind in kinds for magnitude in GAMMA_MAGNITUDES]
+    for kind, magnitude in panels:
+        run = RunSpec(
+            kind.value, magnitude, observable=observable, zeta_min=zeta_min, zeta_max=zeta_max,
+            steps=steps, out=out_dir / f"{figure_id}_{kind.value}_gamma{magnitude:g}.csv",
+        )  # fmt: skip
+        _write_sweep(run)
+    print(f"wrote {len(panels)} panel files to {out_dir}")
     return 0
 
 
@@ -253,9 +244,16 @@ def _resolve_runspec(args: argparse.Namespace) -> RunSpec:
         raise UsageError(f"invalid sweep parameters: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise UsageError instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 @functools.cache  # parse_args fills a fresh Namespace each call, so nothing carries over
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptdimer",
         description="Photon propagation through linearly active two-guide couplers.",
     )
@@ -296,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "sweep":
             return cmd_sweep(_resolve_runspec(args))
         if args.command == "figure":

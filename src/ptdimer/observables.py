@@ -208,8 +208,10 @@ def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
     """The moment bundle of each device on one distance grid, from one exponential per dtype.
 
     The generators of imaginary-n devices are real and the others complex; each
-    kind is one stacked ``expm`` call, so a device's bundle equals its own
-    ``moment_bundle``, bit for bit.  Raises as ``moment_bundle`` does.
+    kind is one stacked ``expm`` call, so a device's bundle equals the bundle of
+    a stack of that device alone, bit for bit.  Raises ValueError for a grid that
+    is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing, and
+    FloatingPointError where the moments break a bound they must satisfy.
     """
     zetas = _grid(zetas)
     parts = [_van_loan_generator(params) for params in devices]
@@ -227,16 +229,6 @@ def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
         n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
         bundles.append(MomentBundle(zetas, n1, n2, n12, grid_blocks[:, :4, 0], h, rate * zetas))
     return bundles
-
-
-def moment_bundle(params: EffectiveParams, zetas: np.ndarray) -> MomentBundle:
-    """All moments on a distance grid from one stacked block exponential, envelope divided out.
-
-    Raises ValueError for a grid that is not non-empty, 1-D, in [0, MAX_ZETA] and
-    strictly increasing, and FloatingPointError where the moments break a bound
-    they must satisfy.
-    """
-    return moment_bundles((params,), zetas)[0]
 
 
 def with_envelope(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -322,7 +314,7 @@ def _guarded_bundle(params: EffectiveParams, zetas, max_magnitude: float | None)
     if max_magnitude is not None and not float(max_magnitude) > 0.0:
         raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
     log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
-    bundle = moment_bundle(params, zetas)
+    bundle = moment_bundles((params,), zetas)[0]
     exponents = np.maximum(bundle.log_envelope, 0.0)
     return bundle, exponents, exponents <= log_guard
 

@@ -207,6 +207,19 @@ def test_config_rejects_mistyped_values(tmp_path, monkeypatch, capsys, fields):
         ('{"observable": "x"}', ["--config", "run.json"], "unknown observable 'x'"),
         (None, ["--zeta-min", "-1"], "zeta-min must be finite and non-negative, got -1.0"),
         (None, ["--zeta-min", "2", "--zeta-max", "1"], "zeta-max must exceed zeta-min, got 1.0"),
+        (None, ["--steps", "x"], "argument --steps: invalid int value: 'x'"),
+        (None, ["--bogus"], "unrecognized arguments: --bogus"),
+        # linspace repeats a point: the window holds fewer than --steps doubles
+        (
+            None,
+            ["--zeta-min", "1", "--zeta-max", "1.0000000000000002", "--steps", "3"],
+            "zeta grid must be strictly increasing",
+        ),
+        (
+            None,
+            ["--zeta-min", "0.05", "--zeta-max", "0.05000000000000001", "--steps", "50"],
+            "zeta grid must be strictly increasing",
+        ),
     ],
 )
 def test_bad_sweep_input_is_a_usage_error(tmp_path, monkeypatch, capsys, config, argv, message):
@@ -299,9 +312,20 @@ def test_figure_panel_counts(tmp_path, figure, count):
         assert data.shape[0] == 12
 
 
-def test_figure_rejects_unknown_id():
-    with pytest.raises(SystemExit):
-        main(["figure", "fig9"])
+def test_figure_rejects_unknown_id(capsys):
+    assert main(["figure", "fig9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "invalid choice: 'fig9'" in err
+    assert err.count("\n") == 1
+
+
+def test_only_help_leaves_main_by_system_exit(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: the following arguments are required: command\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "-h"])
+    assert exit_info.value.code == 0 and "--zeta-max" in capsys.readouterr().out
 
 
 def test_verify_passes_at_default_tolerance(capsys):
@@ -376,7 +400,7 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
     # halve only the off-diagonal stimulated moments conj(V_1p) V_2p and
     # conj(V_2p) V_1p, the sandwiches formed from a bundle's products, which
     # feed the N00N interference term of q2002; the vacuum moments (formed
-    # inside moment_bundle) and the photon numbers stay intact, so only full
+    # inside moment_bundles) and the photon numbers stay intact, so only full
     # moment matrices can notice
     moment_bundles, sandwich = ptdimer.observables.moment_bundles, ptdimer.observables._sandwich
     products = []
@@ -475,10 +499,7 @@ def test_repeated_in_process_calls_leave_no_state_behind(tmp_path, monkeypatch, 
 
     def snapshot(argv):
         """Exit code, stdout, stderr and the CSVs written by one call, which are then removed."""
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage error
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in sorted(tmp_path.rglob("*.csv"))}
         for path in tmp_path.rglob("*.csv"):

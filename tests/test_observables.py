@@ -37,7 +37,6 @@ from ptdimer.observables import (
     VacuumMoments,
     asymptotic_shares,
     launch_moments,
-    moment_bundle,
     moment_bundles,
     noon_photon_numbers,
     noon_two_point,
@@ -104,7 +103,7 @@ def test_observables_take_no_kind():
     grid = np.array([0.5, 1.0])
     calls = [
         lambda: vacuum_pump_weights(p, Kind.GAIN_LOSS),
-        lambda: moment_bundle(p, Kind.GAIN_LOSS, grid),
+        lambda: moment_bundles((p,), Kind.GAIN_LOSS, grid),
         lambda: sample_curve(p, Kind.GAIN_LOSS, "all", grid),
         lambda: single_photon_numbers(p, Kind.GAIN_LOSS, 1.0),
     ]
@@ -503,7 +502,7 @@ def test_moment_bundle_validates_its_grid(grid, message):
     # the bundle owns the grid contract, so direct callers meet it too
     p = params_for(Kind.GAIN_LOSS, -0.5)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        moment_bundle(p, grid)
+        moment_bundles((p,), grid)
     # a bad guard is reported before a bad grid
     with pytest.raises(ValueError, match="^max_magnitude must be positive"):
         sample_curve(p, "spont", grid, max_magnitude=0.0)
@@ -591,7 +590,7 @@ def test_decayed_field_transfer_matches_propagator():
     # about 1e-44; they must keep their relative accuracy, not turn into round-off
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
-    bundle = moment_bundle(p, grid)
+    bundle = moment_bundles((p,), grid)[0]
     for port in (0, 1):  # no pump: the launch moments are the stimulated ones alone
         launched = with_envelope(bundle, launch_moments(bundle, (port,)))
         for zeta, moments in zip(grid, launched):
@@ -607,10 +606,10 @@ def test_decayed_field_transfer_matches_propagator():
 
 
 def _generator(monkeypatch, kind, gamma, grid):
-    """The block generator moment_bundle exponentiates, and the grid it goes with."""
+    """The block generator moment_bundles exponentiates, and the grid it goes with."""
     seen = []
     monkeypatch.setattr(observables, "expm", lambda a, t: seen.append((a[0, 0], t)) or expm(a, t))
-    moment_bundle(params_for(kind, gamma), grid)
+    moment_bundles((params_for(kind, gamma),), grid)
     return seen[0]
 
 
@@ -729,7 +728,7 @@ _OFF_AXIS_PATTERNS = {
 
 @pytest.mark.parametrize("imag", _OFF_AXIS_PATTERNS.values(), ids=_OFF_AXIS_PATTERNS.keys())
 def test_detuned_guides_match_the_moment_oracle(imag):
-    # Re n != 0 takes moment_bundle's complex-generator branch, which no preset reaches
+    # Re n != 0 takes moment_bundles' complex-generator branch, which no preset reaches
     launches = ((), (0,), (1,), (0, 1))
     initial = np.array([np.diag([p.count(0), p.count(1)]) for p in launches])
     marks = (1.0, 5.0, 20.0)
@@ -739,7 +738,8 @@ def test_detuned_guides_match_the_moment_oracle(imag):
             m=np.array([[n1 / g, 1.0], [1.0, n2 / g]]),
             d=np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g]),
         )
-        bundle = moment_bundle(EffectiveParams((n1 - n2) / (2 * g), (n1 + n2) / (2 * g)), marks)
+        device = EffectiveParams((n1 - n2) / (2 * g), (n1 + n2) / (2 * g))
+        bundle = moment_bundles((device,), marks)[0]
         assert bundle.products.dtype == np.complex128
         oracle = np.stack(integrate_moments_path(initial, dp, marks, step=4e-4), axis=1)
         for ports, path in zip(launches, oracle):
@@ -767,11 +767,11 @@ def test_expm_matches_mpmath_on_moment_generators(monkeypatch, kind):
 
 
 def _bundle_and_stack(p, grid):
-    """moment_bundle on a grid, and the block generator it hands to expm."""
+    """One device's bundle on a grid, and the block generator it hands to expm."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(observables, "expm", lambda a, t: seen.append(a[0, 0]) or expm(a, t))
-        bundle = moment_bundle(p, grid)
+        bundle = moment_bundles((p,), grid)[0]
     return bundle, seen[0]
 
 
@@ -807,7 +807,7 @@ def test_moment_bundles_equal_one_device_bundles_bitwise():
     bundles = moment_bundles(devices, grid)
     assert len(bundles) == len(devices)
     for params, bundle in zip(devices, bundles):
-        alone = moment_bundle(params, grid)
+        (alone,) = moment_bundles((params,), grid)
         for field in dataclasses.fields(alone):
             mine, reference = getattr(bundle, field.name), getattr(alone, field.name)
             assert mine.dtype == reference.dtype and np.array_equal(mine, reference), field.name
