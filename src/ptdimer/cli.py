@@ -16,10 +16,10 @@ verify, moments breaking a bound), 2 usage error (an option argparse rejects, a
 bad config value, --zeta-max past MAX_ZETA, a grid too fine for its window, a
 device past the float range); a usage error prints one 'usage error:' line and
 writes no file.  ``main`` returns the code and never raises: only -h exits, with 0.
-A sweep's gap notes ('note: zeta=...' lines, in grid order) go to stderr in one
-block after the CSV is written.  The argument parser is built once per process
-and reused, so repeated in-process ``main`` calls pay for it once; each call
-parses into a fresh namespace, so no value carries over between calls.
+After the CSV is written, stderr gets one 'note: zeta=FIRST..LAST, COUNT points:
+REASON' line per run of points gapped for one reason.  The argument parser is
+built once per process and reused, so repeated in-process ``main`` calls pay for
+it once; each call parses into a fresh namespace, so no value carries over.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def write_curve_csv(
     lines = [
         "# kind=%s, gamma=%.17g, beta=%.17g, nr=%.17g, g=%.17g, observable=%s"
         % (kind.value, *(value + 0.0 for value in head), curve.observable),
-        ",".join(("zeta",) + curve.columns),
+        ",".join(["zeta", *curve.data]),
     ]
-    table = np.column_stack([curve.zetas] + [curve.column(name) for name in curve.columns])
+    table = np.column_stack([curve.zetas, *curve.data.values()])
     row = ",".join(["%.17g"] * table.shape[1])
     lines.extend(row % tuple(cells) for cells in (table + 0.0).tolist())
     with path.open("w", encoding="utf-8", newline="\n") as handle:
@@ -168,11 +168,12 @@ def _write_sweep(run: RunSpec) -> ObservableCurve:
         raise UsageError(
             f"observable {run.observable!r} is undefined at zeta=0; use zeta-min > 0"
         )
-    # the library's own checks: an unreachable device, an unknown observable, and
-    # a grid whose end points are so close that linspace repeats a point
+    grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
+    if np.any(np.diff(grid) <= 0.0):  # linspace repeats a point
+        raise UsageError(f"--zeta-min..--zeta-max is too narrow for --steps {run.steps}")
+    # the library's own checks: an unreachable device and an unknown observable
     try:
         params = effective_params(preset_realization(kind, run.gamma, nr=run.nr, g=run.g))
-        grid = np.linspace(run.zeta_min, run.zeta_max, run.steps)
         curve = sample_curve(params, run.observable, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -185,8 +186,9 @@ def _write_sweep(run: RunSpec) -> ObservableCurve:
 
 def cmd_sweep(run: RunSpec) -> int:
     curve = _write_sweep(run)
-    zetas = curve.zetas.tolist()
-    sys.stderr.write("".join(f"note: zeta={zetas[i]:g}: {note}\n" for i, note in curve.gaps))
+    for start, stop, reason in curve.gaps:
+        first, last = curve.zetas[start], curve.zetas[stop - 1]
+        print(f"note: zeta={first:g}..{last:g}, {stop - start} points: {reason}", file=sys.stderr)
     print(f"wrote {Path(run.out)} ({curve.zetas.size} rows)")
     return 0
 

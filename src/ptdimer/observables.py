@@ -54,9 +54,7 @@ of 60-digit arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance
 is a ValueError.
 
 A single-distance function is the one-point grid [zeta] of ``sample_curve``'s
-code: it returns the curve's values bit for bit and raises where the curve has
-a gap, GrowthGuardError past the guard, OverflowError past the float range,
-NoSpontaneousFieldError or DecayedFieldError where q00 or q2002 is undefined.
+code: the curve's values bit for bit, and the error of ``_GAPS`` where it has a gap.
 """
 
 from __future__ import annotations
@@ -151,11 +149,26 @@ def vacuum_pump_weights(params: EffectiveParams) -> tuple[float, float]:
     return 2.0 * max(0.0, beta - gamma), 2.0 * max(0.0, beta + gamma)
 
 
-def _growth_note(exponent: float, max_magnitude: float) -> str:
-    return (
-        f"predicted magnitude e^{exponent:.1f} exceeds the guard {max_magnitude:g}; "
-        "raw photon numbers are saturation-dominated here"
-    )
+# Why a point is a gap, in the order of a point's reasons: the error raised, and its message.
+_GAPS: dict[str, tuple[type, str]] = {
+    "guard": (
+        GrowthGuardError,
+        "predicted magnitude e^{exponent:.1f} exceeds the guard {guard:g}; "
+        "raw photon numbers are saturation-dominated here",
+    ),
+    "range": (OverflowError, "raw photon numbers leave the floating-point range at zeta={zeta!r}"),
+    "share1": (ValueError, "renormalization undefined at zeta={zeta!r}: no photons"),
+    "q00": (NoSpontaneousFieldError, "q00 undefined at zeta={zeta!r}: no spontaneous field"),
+    "q2002": (
+        DecayedFieldError, "N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
+    ),
+}
+
+
+def _gap(reason: str, zeta, exponent: float = math.nan, guard: float | None = None) -> Exception:
+    """The error of a gap for ``reason`` at one point, with its message."""
+    error, template = _GAPS[reason]
+    return error(template.format(zeta=zeta, exponent=exponent, guard=guard))
 
 
 @dataclass(frozen=True)
@@ -323,7 +336,7 @@ def _point(params: EffectiveParams, zeta: float, max_magnitude: float | None) ->
     """The bundle of the one-point grid [zeta]; GrowthGuardError where a curve notes a guard gap."""
     bundle, exponents, raw_ok = _guarded_bundle(params, [zeta], max_magnitude)
     if not raw_ok[0]:
-        raise GrowthGuardError(_growth_note(exponents[0], max_magnitude))
+        raise _gap("guard", zeta, exponents[0], max_magnitude)
     return bundle
 
 
@@ -331,7 +344,7 @@ def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.n
     """Raw ``values`` of a one-point bundle; OverflowError past the floating-point range."""
     raw = with_envelope(bundle, values, order)[0]
     if not np.isfinite(raw).all():
-        raise OverflowError(_RANGE_NOTE.format(zeta=float(bundle.zetas[0])))
+        raise _gap("range", float(bundle.zetas[0]))
     return raw
 
 
@@ -356,7 +369,7 @@ def q_vacuum(params: EffectiveParams, zeta: float) -> float:
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    return _ratio_point(params, "q00", zeta, NoSpontaneousFieldError)
+    return _ratio_point(params, "q00", zeta)
 
 
 def single_photon_numbers(
@@ -410,7 +423,7 @@ def q_noon(params: EffectiveParams, zeta: float) -> float:
     zero without gain, and crossing into bunching once the spontaneous
     background dominates on amplifying devices.  A ratio of moments; unguarded.
     """
-    return _ratio_point(params, "q2002", zeta, DecayedFieldError)
+    return _ratio_point(params, "q2002", zeta)
 
 
 def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
@@ -463,35 +476,20 @@ _INPUT_PORTS = dict(spont=(), q00=(), all=(), single=(0,), noon_n=(0, 1), q2002=
 # Observables whose value at zeta = 0 is a 0/0: the vacuum launches (spontaneous shares, q00).
 ZERO_UNDEFINED = tuple(name for name, ports in _INPUT_PORTS.items() if not ports)
 
-# Why a column is NaN at a point: raw ones within the guard, then the ratios.
-_RANGE_NOTE = "raw photon numbers leave the floating-point range at zeta={zeta!r}"
-_GAP_REASONS = {
-    "share1": "renormalization undefined at zeta={zeta!r}: no photons",
-    "q00": "q00 undefined at zeta={zeta!r}: no spontaneous field",
-    "q2002": "N00N statistics undefined at zeta={zeta!r}: mean field fully decayed",
-}
-
 
 @dataclass
 class ObservableCurve:
     """A sampled observable: one read-only array per column, gaps where undefined.
 
-    ``data[name][i]`` is the value of column ``name`` at ``zetas[i]``; entries
-    are NaN where that point could not be evaluated, with the reason recorded
-    in ``gaps`` as (index, message).
+    ``data[name][i]`` is column ``name`` at ``zetas[i]`` (columns in CSV order), NaN
+    where that point could not be evaluated; ``gaps`` holds one (start, stop, reason)
+    per maximal run of points with one reason, sorted by start, with stop exclusive.
     """
 
     observable: str
     zetas: np.ndarray
     data: dict[str, np.ndarray]
-    gaps: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return CURVE_COLUMNS[self.observable]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[name]
+    gaps: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 def _curve_columns(
@@ -516,12 +514,12 @@ def _curve_columns(
     return {name: columns[name] for name in names}
 
 
-def _ratio_point(params: EffectiveParams, observable: str, zeta: float, error: type) -> float:
-    """The ratio column ``observable`` at one distance, unguarded; ``error`` where a curve gaps."""
+def _ratio_point(params: EffectiveParams, observable: str, zeta: float) -> float:
+    """The ratio column ``observable`` at one distance, unguarded; raises where a curve gaps."""
     bundle = _point(params, zeta, None)
     value = float(_curve_columns(bundle, observable, np.array([True]))[observable][0])
     if math.isnan(value):
-        raise error(_GAP_REASONS[observable].format(zeta=zeta))
+        raise _gap(observable, zeta)
     return value
 
 
@@ -536,30 +534,29 @@ def sample_curve(
 
     Every grid point is evaluated independently of the others (a point's
     values equal those of the same point sampled alone, bit for bit), and
-    undefined or guarded values turn into NaN entries flagged in ``gaps``
-    instead of aborting the sweep: raw columns past the growth guard or the
-    floating-point range, and ratios with a zero denominator.  The grid is
-    kept as a read-only copy and must lie in [0, MAX_ZETA].  Raises
-    FloatingPointError where the moments break a bound they must satisfy.
+    undefined or guarded values turn into NaN entries instead of aborting the
+    sweep: raw columns past the growth guard or the floating-point range, and
+    ratios with a zero denominator.  A run's reason in ``gaps`` is the message a
+    one-point function raises at the run's first point.  The grid is kept as a
+    read-only copy and must lie in [0, MAX_ZETA].  Raises FloatingPointError
+    where the moments break a bound they must satisfy.
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
     bundle, exponents, raw_ok = _guarded_bundle(params, zetas, max_magnitude)
-    grid = bundle.zetas
     columns = _curve_columns(bundle, observable, raw_ok)
 
-    # Python floats and ints print as the numpy scalars would, without one per point
-    zetas, peaks = grid.tolist(), exponents.tolist()
-    gaps = [(i, _growth_note(peaks[i], max_magnitude)) for i in np.flatnonzero(~raw_ok).tolist()]
-    for i in np.flatnonzero(raw_ok & np.isnan(columns["n1"])).tolist():
-        gaps.append((i, _RANGE_NOTE.format(zeta=zetas[i])))
-    for name, reason in _GAP_REASONS.items():
-        if name in columns:
-            for i in np.flatnonzero(np.isnan(columns[name])).tolist():
-                gaps.append((i, reason.format(zeta=zetas[i])))
-    gaps.sort(key=lambda gap: gap[0])
+    masks = {"guard": ~raw_ok, "range": raw_ok & np.isnan(columns["n1"])}
+    masks.update((name, np.isnan(columns[name])) for name in _GAPS if name in columns)
+    zetas, gaps = bundle.zetas.tolist(), []  # floats repr as the one-point functions print
+    for reason, mask in masks.items():
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            gap = _gap(reason, zetas[start], exponents[start], max_magnitude)
+            gaps.append((start, stop, str(gap)))
+    gaps.sort(key=lambda gap: gap[0])  # stable: a point's reasons stay in table order
     for values in columns.values():
         values.flags.writeable = False
-    return ObservableCurve(observable=observable, zetas=grid, data=columns, gaps=gaps)
+    return ObservableCurve(observable=observable, zetas=bundle.zetas, data=columns, gaps=gaps)

@@ -213,12 +213,12 @@ def test_config_rejects_mistyped_values(tmp_path, monkeypatch, capsys, fields):
         (
             None,
             ["--zeta-min", "1", "--zeta-max", "1.0000000000000002", "--steps", "3"],
-            "zeta grid must be strictly increasing",
+            "--zeta-min..--zeta-max is too narrow for --steps 3",
         ),
         (
             None,
             ["--zeta-min", "0.05", "--zeta-max", "0.05000000000000001", "--steps", "50"],
-            "zeta grid must be strictly increasing",
+            "--zeta-min..--zeta-max is too narrow for --steps 50",
         ),
     ],
 )
@@ -445,31 +445,26 @@ def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):
     assert np.all(np.isfinite(data[:, 3:]))
     guarded = np.isnan(data[:, 1])
     assert guarded.any() and np.array_equal(guarded, np.isnan(data[:, 2]))
-    # one growth-guard note per row with raw columns gapped, and no other note
+    # growth-guard notes that count every row with raw columns gapped, and no other note
     notes = [line for line in err.splitlines() if line.startswith("note: ")]
-    assert len(notes) == guarded.sum() and all("exceeds the guard" in n for n in notes)
+    counts = [int(note.split(", ")[1].split(" points: ")[0]) for note in notes]
+    assert sum(counts) == guarded.sum() and all("exceeds the guard" in n for n in notes)
 
 
 _GUARD_TAIL = " exceeds the guard 1e+12; raw photon numbers are saturation-dominated here\n"
 _FROZEN_NOTES = {
-    # the :g zeta and the .1f exponent of growth-guard notes
+    # the :g zetas of a run, and the .1f exponent of its first point
     "--kind gain-gain --gamma 3 --observable all --zeta-max 300 --steps 6": (
-        "note: zeta=60.04: predicted magnitude e^1060.1" + _GUARD_TAIL
-        + "note: zeta=120.03: predicted magnitude e^2119.4" + _GUARD_TAIL
-        + "note: zeta=180.02: predicted magnitude e^3178.6" + _GUARD_TAIL
-        + "note: zeta=240.01: predicted magnitude e^4237.8" + _GUARD_TAIL
-        + "note: zeta=300: predicted magnitude e^5297.1" + _GUARD_TAIL
+        "note: zeta=60.04..300, 5 points: predicted magnitude e^1060.1" + _GUARD_TAIL
     ),
-    # the repr zeta of ratio notes, and two notes of one point in column order
-    "--kind loss-loss --gamma 0.5 --observable all --zeta-max 300 --steps 4": (
-        "note: zeta=0.05: renormalization undefined at zeta=0.05: no photons\n"
-        "note: zeta=0.05: q00 undefined at zeta=0.05: no spontaneous field\n"
-        "note: zeta=100.033: renormalization undefined at zeta=100.03333333333333: no photons\n"
-        "note: zeta=100.033: q00 undefined at zeta=100.03333333333333: no spontaneous field\n"
-        "note: zeta=200.017: renormalization undefined at zeta=200.01666666666668: no photons\n"
-        "note: zeta=200.017: q00 undefined at zeta=200.01666666666668: no spontaneous field\n"
-        "note: zeta=300: renormalization undefined at zeta=300.0: no photons\n"
-        "note: zeta=300: q00 undefined at zeta=300.0: no spontaneous field\n"
+    # the :g run bounds beside the repr zeta of ratio reasons, and two runs from one
+    # point in column order
+    "--kind loss-loss --gamma 0.5 --observable all --zeta-min 0.123456789 --zeta-max 300 "
+    "--steps 4": (
+        "note: zeta=0.123457..300, 4 points: "
+        "renormalization undefined at zeta=0.123456789: no photons\n"
+        "note: zeta=0.123457..300, 4 points: "
+        "q00 undefined at zeta=0.123456789: no spontaneous field\n"
     ),
 }
 

@@ -278,7 +278,7 @@ def test_q_noon_stays_defined_or_gapped_deep_in_decay():
     # range; the ratio, formed with the envelope divided out, stays defined
     p = params_for(Kind.LOSS_LOSS, -0.9)
     curve = sample_curve(p, "q2002", np.linspace(0.05, 1000.0, 300))
-    q = curve.column("q2002")
+    q = curve.data["q2002"]
     assert np.all(q >= -1.0)
     # 60-digit mpmath from U = cos(Omega zeta) I + i sin(Omega zeta) H / Omega
     assert np.isclose(q[-1], -0.78061757778508866, rtol=1e-10, atol=0.0)
@@ -367,27 +367,98 @@ def test_sample_curve_columns_and_determinism():
     grid = np.linspace(0.1, 5.0, 40)
     a = sample_curve(p, "all", grid)
     b = sample_curve(p, "all", grid)
-    assert a.columns == CURVE_COLUMNS["all"]
+    assert tuple(a.data) == CURVE_COLUMNS["all"]
     assert a.gaps == [] and b.gaps == []
-    for col in a.columns:
-        assert np.array_equal(a.column(col), b.column(col))
+    for col in a.data:
+        assert np.array_equal(a.data[col], b.data[col])
 
 
 def test_sample_curve_flags_guarded_points():
     p = params_for(Kind.GAIN_GAIN, 1.2)
     grid = np.array([0.5, 20.0])
     curve = sample_curve(p, "single", grid)
-    assert math.isfinite(curve.column("n1")[0])
-    assert math.isnan(curve.column("n1")[1])  # beyond the growth guard
-    assert math.isfinite(curve.column("share1")[1])  # ratio still defined
-    assert any(index == 1 for index, _ in curve.gaps)
+    assert math.isfinite(curve.data["n1"][0])
+    assert math.isnan(curve.data["n1"][1])  # beyond the growth guard
+    assert math.isfinite(curve.data["share1"][1])  # ratio still defined
+    assert any(start <= 1 < stop for start, stop, _ in curve.gaps)
 
 
 def test_sample_curve_passive_spont_is_all_gaps():
     p = params_for(Kind.LOSS_LOSS, -0.5)
     curve = sample_curve(p, "spont", np.array([1.0, 2.0]))
-    assert all(math.isnan(v) for v in curve.column("share1"))
-    assert len(curve.gaps) == 2
+    assert all(math.isnan(v) for v in curve.data["share1"])
+    assert [(start, stop) for start, stop, _ in curve.gaps] == [(0, 2)]  # both points, one run
+
+
+_GAP_PREFIXES = {
+    "predicted magnitude": "guard",
+    "raw photon numbers leave": "range",
+    "renormalization undefined": "share1",
+    "q00 undefined": "q00",
+    "N00N statistics undefined": "q2002",
+}
+
+
+def _reason(note):
+    return next(reason for prefix, reason in _GAP_PREFIXES.items() if note.startswith(prefix))
+
+
+def _gap_runs(curve):
+    """Per reason, the points its runs cover; asserts the runs are sorted and never touch."""
+    covered = {reason: np.zeros(curve.zetas.size, bool) for reason in _GAP_PREFIXES.values()}
+    starts = [start for start, _, _ in curve.gaps]
+    assert starts == sorted(starts)
+    for start, stop, note in curve.gaps:
+        reason = _reason(note)
+        assert 0 <= start < stop <= curve.zetas.size
+        # one reason's runs are maximal: they neither overlap nor touch
+        assert not covered[reason][max(start - 1, 0) : stop + 1].any(), (reason, start)
+        covered[reason][start:stop] = True
+    return covered
+
+
+def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
+    grid = np.linspace(0.05, 300.0, 400)
+    points = {"guard": vacuum_moments, "range": vacuum_moments, "q00": q_vacuum, "q2002": q_noon}
+    cases = [
+        (params_for(Kind.LOSS_LOSS, 0.5), GROWTH_GUARD_MAX),  # no spontaneous field
+        (params_for(Kind.GAIN_GAIN, 3.0), GROWTH_GUARD_MAX),  # past the guard from zeta 1.6
+        (params_for(Kind.GAIN_GAIN, 3.0), None),  # past the float range from zeta 40
+    ]
+    seen = set()
+    for p, guard in cases:
+        curve = sample_curve(p, "all", grid, max_magnitude=guard)
+        peaks = np.maximum(moment_bundles((p,), grid)[0].log_envelope, 0.0)
+        raw_ok = peaks <= (math.inf if guard is None else math.log(guard))
+        covered = _gap_runs(curve)
+        assert np.array_equal(covered["guard"], ~raw_ok)
+        assert np.array_equal(covered["range"], raw_ok & np.isnan(curve.data["n1"]))
+        for name in ("share1", "q00", "q2002"):
+            assert np.array_equal(covered[name], np.isnan(curve.data[name])), name
+        # a run's reason is what the one-point function raises at its first point
+        for start, _, note in curve.gaps:
+            reason = _reason(note)
+            seen.add(reason)
+            if reason in points:
+                kwargs = {"max_magnitude": guard} if points[reason] is vacuum_moments else {}
+                with pytest.raises(Exception) as raised:
+                    points[reason](p, float(grid[start]), **kwargs)
+                assert str(raised.value) == note
+    assert seen == {"guard", "range", "share1", "q00"}
+
+    # holes in one column: each stretch of NaN cells is its own run
+    holes = np.arange(grid.size) % 7 < 3
+    curve_columns = observables._curve_columns
+
+    def holed(bundle, observable, raw_ok):
+        columns = curve_columns(bundle, observable, raw_ok)
+        columns["q2002"] = np.where(holes, math.nan, columns["q2002"])
+        return columns
+
+    monkeypatch.setattr(observables, "_curve_columns", holed)
+    curve = sample_curve(params_for(Kind.GAIN_LOSS, -0.5), "all", grid)
+    assert np.array_equal(_gap_runs(curve)["q2002"], holes)
+    assert sum(note.startswith("N00N") for *_, note in curve.gaps) == math.ceil(grid.size / 7)
 
 
 @pytest.mark.parametrize("observable", ["spont", "q00", "q2002"])
@@ -401,9 +472,9 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
     curve = sample_curve(p, observable, grid, max_magnitude=None)
     for index in (0, 11, 36):
         alone = sample_curve(p, observable, grid[index : index + 1], max_magnitude=None)
-        for name in curve.columns:
-            on_grid = np.float64(curve.column(name)[index])
-            assert on_grid.tobytes() == np.float64(alone.column(name)[0]).tobytes()
+        for name in curve.data:
+            on_grid = np.float64(curve.data[name][index])
+            assert on_grid.tobytes() == np.float64(alone.data[name][0]).tobytes()
 
 
 def _point_or_error(point, *args, **kwargs):
@@ -448,10 +519,10 @@ def test_point_functions_read_the_one_point_curve():
             for function, kwargs, observable, names, values, guard in cases:
                 point = _point_or_error(function, p, zeta, **kwargs)
                 curve = sample_curve(p, observable, [zeta], max_magnitude=guard)
-                guarded = any(note.startswith(guard_note) for _, note in curve.gaps)
+                guarded = any(note.startswith(guard_note) for *_, note in curve.gaps)
                 where = (p, zeta, function.__name__, guard)
                 assert isinstance(point, GrowthGuardError) == guarded, where
-                column = [float(curve.column(name)[0]) for name in names]
+                column = [float(curve.data[name][0]) for name in names]
                 if isinstance(point, Exception):
                     assert any(math.isnan(value) for value in column), where
                     continue
@@ -841,14 +912,14 @@ def test_ratios_keep_their_bounds_at_any_distance(kind, magnitude, positive, zet
         warnings.simplefilter("error")
         every = sample_curve(p, "all", grid)
         single = sample_curve(p, "single", grid)
-    q00 = every.column("q00")
+    q00 = every.data["q00"]
     q00 = q00[~np.isnan(q00)]  # no spontaneous field at all, or at zeta = 0
     assert np.all((q00 >= -1e-12) & (q00 <= 1.0 + 1e-12))
-    assert np.all(every.column("q2002") >= -1.0)
+    assert np.all(every.data["q2002"] >= -1.0)
     gain = kind in (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE)
-    assert not np.isnan(single.column("share1")).any()  # the launched photon is always there
+    assert not np.isnan(single.data["share1"]).any()  # the launched photon is always there
     for curve in (every, single) if gain else (single,):
-        share1, share2 = curve.column("share1"), curve.column("share2")
+        share1, share2 = curve.data["share1"], curve.data["share2"]
         defined = ~np.isnan(share1)  # the spontaneous shares are 0/0 at zeta = 0
         assert np.all(share1[defined] + share2[defined] == 1.0)
         if gain and magnitude >= 1.1:
@@ -872,7 +943,7 @@ def test_far_grids_evaluate_up_to_max_zeta(kind):
             for observable in CURVE_COLUMNS:
                 curve = sample_curve(p, observable, grid)
                 if observable in ("single", "noon_n"):  # launched photons are always there
-                    assert not np.isnan(curve.column("share1")).any()
+                    assert not np.isnan(curve.data["share1"]).any()
 
 
 def test_distances_past_max_zeta_are_rejected():
@@ -910,18 +981,18 @@ def test_raw_values_past_the_float_range():
     assert math.isfinite(noon_photon_numbers(p, 30.0, max_magnitude=None).n1)
     grid = np.array([1.0, 300.0])
     curve = sample_curve(p, "all", grid, max_magnitude=None)
-    assert curve.gaps == [(1, "raw photon numbers leave the floating-point range at zeta=300.0")]
-    for name in curve.columns:
-        assert math.isfinite(curve.column(name)[0])
-        assert math.isnan(curve.column(name)[1]) == (name in ("n1", "n2", "n12_re", "n12_im"))
+    assert curve.gaps == [(1, 2, "raw photon numbers leave the floating-point range at zeta=300.0")]
+    for name in curve.data:
+        assert math.isfinite(curve.data[name][0])
+        assert math.isnan(curve.data[name][1]) == (name in ("n1", "n2", "n12_re", "n12_im"))
 
 
 def test_curve_columns_are_read_only():
     p = params_for(Kind.GAIN_LOSS, -0.5)
     curve = sample_curve(p, "all", np.linspace(0.1, 2.0, 5))
-    for name in curve.columns:
+    for name in curve.data:
         with pytest.raises(ValueError):
-            curve.column(name)[0] = 1.0
+            curve.data[name][0] = 1.0
 
 
 @given(st.floats(-1.15, 1.15).filter(lambda g: abs(g) > 0.05), st.floats(0.1, 6.0))
