@@ -12,7 +12,7 @@ Sweeps write a single CSV with one row per propagation distance: a leading
 byte-identical files; each figure panel is written as one such sweep.  A sweep
 reaches at most MAX_ZETA = 1e8 coupling lengths, where the phase Omega zeta still
 carries about 8 digits.  Exit codes: 0 success, 1 runtime failure (I/O, a failed
-verify, moments breaking a bound), 2 usage error (an option argparse rejects, a
+verify, an exponential overflow), 2 usage error (an option argparse rejects, a
 bad config value, --zeta-max past MAX_ZETA, a grid too fine for its window, a
 device past the float range); a usage error prints one 'usage error:' line and
 writes no file.  ``main`` returns the code and never raises: only -h exits, with 0.
@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, FloatingPointError, OSError) as exc:
+    except (OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

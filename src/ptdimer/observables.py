@@ -151,6 +151,10 @@ def vacuum_pump_weights(params: EffectiveParams) -> tuple[float, float]:
 
 # Why a point is a gap, in the order of a point's reasons: the error raised, and its message.
 _GAPS: dict[str, tuple[type, str]] = {
+    "bound": (
+        FloatingPointError,
+        "moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound",
+    ),
     "guard": (
         GrowthGuardError,
         "predicted magnitude e^{exponent:.1f} exceeds the guard {guard:g}; "
@@ -188,6 +192,7 @@ class MomentBundle:
     log_envelope: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite products give NaN, a bound gap
 def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """V* X V^T per point, as the sum over the bilinears (c* c, c* s, s* c, s* s) in ``weights``."""
     hc = h.conj()
@@ -222,9 +227,9 @@ def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
 
     The generators of imaginary-n devices are real and the others complex; each
     kind is one stacked ``expm`` call, so a device's bundle equals the bundle of
-    a stack of that device alone, bit for bit.  Raises ValueError for a grid that
-    is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing, and
-    FloatingPointError where the moments break a bound they must satisfy.
+    a stack of that device alone, bit for bit.  n1 and n2 are NaN where the
+    vacuum moments break a bound.  Raises ValueError for a grid that is not
+    non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
     """
     zetas = _grid(zetas)
     parts = [_van_loan_generator(params) for params in devices]
@@ -239,7 +244,7 @@ def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
     for (_, w, h, rate), grid_blocks in zip(parts, blocks):
         moments = _sandwich(grid_blocks[:, :4, 4], w, h)
         n12 = moments[:, 0, 1]
-        n1, n2 = _checked_numbers(zetas, moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
+        n1, n2 = _checked_numbers(moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
         bundles.append(MomentBundle(zetas, n1, n2, n12, grid_blocks[:, :4, 0], h, rate * zetas))
     return bundles
 
@@ -251,16 +256,13 @@ def with_envelope(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> n
         return values * np.exp(log_envelope)
 
 
-def _checked_numbers(zetas, n1, n2, n12=0.0):
-    """Photon numbers, round-off negatives set to 0; FloatingPointError if a bound breaks."""
+def _checked_numbers(n1, n2, n12=0.0):
+    """Photon numbers, round-off negatives set to 0; NaN where a bound breaks."""
     bad = _invalid_numbers(n1) | _invalid_numbers(n2)
     n1, n2 = np.maximum(n1, 0.0), np.maximum(n2, 0.0)
     bad |= _breaks_cauchy_schwarz(n1, n2, n12)
     if bad.any():
-        zeta = float(zetas[np.argmax(bad)])
-        raise FloatingPointError(
-            f"moments at zeta={zeta!r} break non-negativity or the Cauchy-Schwarz bound"
-        )
+        n1, n2 = np.where(bad, math.nan, n1), np.where(bad, math.nan, n2)
     return n1, n2
 
 
@@ -280,7 +282,7 @@ def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
 def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers for one photon launched into each of ``ports`` (from 0), plus vacuum."""
     moments = launch_moments(bundle, ports)
-    return _checked_numbers(bundle.zetas, moments[:, 0, 0].real, moments[:, 1, 1].real)
+    return _checked_numbers(moments[:, 0, 0].real, moments[:, 1, 1].real)
 
 
 def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
@@ -303,9 +305,8 @@ def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
     return pair + spontaneous + mixed
 
 
-@np.errstate(all="ignore")
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """Ratio of frame values; NaN where the denominator is zero (below the floor)."""
+    """Ratio of frame values; NaN where the denominator is below the floor (call under errstate)."""
     return np.where(denominator >= _RATIO_FLOOR, numerator / denominator, math.nan)
 
 
@@ -333,18 +334,20 @@ def _guarded_bundle(params: EffectiveParams, zetas, max_magnitude: float | None)
 
 
 def _point(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> MomentBundle:
-    """The bundle of the one-point grid [zeta]; GrowthGuardError where a curve notes a guard gap."""
+    """The bundle of the one-point grid [zeta]; raises a vacuum bound gap, then a guard gap."""
     bundle, exponents, raw_ok = _guarded_bundle(params, [zeta], max_magnitude)
+    if np.isnan(bundle.n1[0]):
+        raise _gap("bound", float(bundle.zetas[0]))
     if not raw_ok[0]:
         raise _gap("guard", zeta, exponents[0], max_magnitude)
     return bundle
 
 
 def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Raw ``values`` of a one-point bundle; OverflowError past the floating-point range."""
+    """Raw ``values`` of a one-point bundle; raises where they are NaN (bound) or past the range."""
     raw = with_envelope(bundle, values, order)[0]
     if not np.isfinite(raw).all():
-        raise _gap("range", float(bundle.zetas[0]))
+        raise _gap("bound" if np.isnan(values).any() else "range", float(bundle.zetas[0]))
     return raw
 
 
@@ -492,34 +495,40 @@ class ObservableCurve:
     gaps: list[tuple[int, int, str]] = field(default_factory=list)
 
 
+@np.errstate(all="ignore")  # zero denominators, the float range and bound breaks give NaN gaps
 def _curve_columns(
     bundle: MomentBundle, observable: str, raw_ok: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Every CSV column of ``observable``; raw columns are NaN where not ``raw_ok`` or finite."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The CSV columns of ``observable``, and where the point's moments keep their bounds.
+
+    Every column is NaN where a bound breaks, raw columns also where not ``raw_ok`` or finite.
+    """
     names = CURVE_COLUMNS[observable]
     ports = _INPUT_PORTS[observable]
     n1, n2 = _photon_numbers(bundle, ports)
+    columns = {}
+    if "q2002" in names:  # the only column that needs the N00N numbers: their bound gaps the point
+        noon1, noon2 = (n1, n2) if ports == (0, 1) else _photon_numbers(bundle, (0, 1))
+        columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
+        n1 = np.where(np.isnan(noon1), math.nan, n1)
     frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
     raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
     raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
-    columns = {name: np.where(raw_ok, values, math.nan) for name, values in raw.items()}
+    columns.update((name, np.where(raw_ok, values, math.nan)) for name, values in raw.items())
     if "share1" in names:
         columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
         columns["share2"] = 1.0 - columns["share1"]
     if "q00" in names:
-        columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, bundle.n1 * bundle.n2)
-    if "q2002" in names:  # the only column that needs the N00N numbers
-        noon1, noon2 = (n1, n2) if ports == (0, 1) else _photon_numbers(bundle, (0, 1))
-        columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
-    return {name: columns[name] for name in names}
+        columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, n1 * n2)
+    return {name: columns[name] for name in names}, ~np.isnan(n1)
 
 
 def _ratio_point(params: EffectiveParams, observable: str, zeta: float) -> float:
     """The ratio column ``observable`` at one distance, unguarded; raises where a curve gaps."""
-    bundle = _point(params, zeta, None)
-    value = float(_curve_columns(bundle, observable, np.array([True]))[observable][0])
+    columns, bounded = _curve_columns(_point(params, zeta, None), observable, np.array([True]))
+    value = float(columns[observable][0])
     if math.isnan(value):
-        raise _gap(observable, zeta)
+        raise _gap(observable, zeta) if bounded[0] else _gap("bound", float(zeta))
     return value
 
 
@@ -535,21 +544,22 @@ def sample_curve(
     Every grid point is evaluated independently of the others (a point's
     values equal those of the same point sampled alone, bit for bit), and
     undefined or guarded values turn into NaN entries instead of aborting the
-    sweep: raw columns past the growth guard or the floating-point range, and
-    ratios with a zero denominator.  A run's reason in ``gaps`` is the message a
-    one-point function raises at the run's first point.  The grid is kept as a
-    read-only copy and must lie in [0, MAX_ZETA].  Raises FloatingPointError
-    where the moments break a bound they must satisfy.
+    sweep: every column where the moments break a bound, raw columns past the
+    growth guard or the floating-point range, and ratios with a zero
+    denominator.  A run's reason in ``gaps`` is the message a one-point
+    function raises at the run's first point.  The grid is kept as a
+    read-only copy and must lie in [0, MAX_ZETA].
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
     bundle, exponents, raw_ok = _guarded_bundle(params, zetas, max_magnitude)
-    columns = _curve_columns(bundle, observable, raw_ok)
+    columns, bounded = _curve_columns(bundle, observable, raw_ok)
 
-    masks = {"guard": ~raw_ok, "range": raw_ok & np.isnan(columns["n1"])}
-    masks.update((name, np.isnan(columns[name])) for name in _GAPS if name in columns)
+    masks = {"bound": ~bounded, "guard": ~raw_ok}
+    masks["range"] = bounded & raw_ok & np.isnan(columns["n1"])
+    masks.update((name, bounded & np.isnan(columns[name])) for name in _GAPS if name in columns)
     zetas, gaps = bundle.zetas.tolist(), []  # floats repr as the one-point functions print
     for reason, mask in masks.items():
         edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()

@@ -234,7 +234,7 @@ def _production_columns(
 ) -> list[np.ndarray]:
     """The CSV column ``observable`` of each device, unguarded, from one ``moment_bundles`` call."""
     bundles = moment_bundles([effective_params(r) for r in realizations], zetas)
-    return [_curve_columns(b, observable, np.array([True]))[observable] for b in bundles]
+    return [_curve_columns(b, observable, np.array([True]))[0][observable] for b in bundles]
 
 
 def _correlation_checks(report: VerificationReport, tolerance: float) -> None:

@@ -22,6 +22,7 @@ from ptdimer.configurations import (
     Kind,
     UnreachableGammaError,
     effective_params,
+    preset_realization,
     realization_for_gamma,
 )
 from ptdimer.core import EffectiveParams, expm, propagator
@@ -392,6 +393,7 @@ def test_sample_curve_passive_spont_is_all_gaps():
 
 _GAP_PREFIXES = {
     "predicted magnitude": "guard",
+    "moments at": "bound",
     "raw photon numbers leave": "range",
     "renormalization undefined": "share1",
     "q00 undefined": "q00",
@@ -420,21 +422,28 @@ def _gap_runs(curve):
 def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
     grid = np.linspace(0.05, 300.0, 400)
     points = {"guard": vacuum_moments, "range": vacuum_moments, "q00": q_vacuum, "q2002": q_noon}
+    points["bound"] = q_noon  # its N00N numbers carry the vacuum's
+    far = effective_params(preset_realization(Kind.GAIN_PASSIVE, -7e11))
     cases = [
-        (params_for(Kind.LOSS_LOSS, 0.5), GROWTH_GUARD_MAX),  # no spontaneous field
-        (params_for(Kind.GAIN_GAIN, 3.0), GROWTH_GUARD_MAX),  # past the guard from zeta 1.6
-        (params_for(Kind.GAIN_GAIN, 3.0), None),  # past the float range from zeta 40
+        (params_for(Kind.LOSS_LOSS, 0.5), GROWTH_GUARD_MAX, grid),  # no spontaneous field
+        (params_for(Kind.GAIN_GAIN, 3.0), GROWTH_GUARD_MAX, grid),  # past the guard from zeta 1.6
+        (params_for(Kind.GAIN_GAIN, 3.0), None, grid),  # past the float range from zeta 40
+        # |Omega| zeta near 1e12 leaves the phase few digits: single points break a bound
+        (far, GROWTH_GUARD_MAX, np.linspace(0.05, 10.0, 50)),
     ]
     seen = set()
-    for p, guard in cases:
-        curve = sample_curve(p, "all", grid, max_magnitude=guard)
-        peaks = np.maximum(moment_bundles((p,), grid)[0].log_envelope, 0.0)
+    for p, guard, zetas in cases:
+        curve = sample_curve(p, "all", zetas, max_magnitude=guard)
+        peaks = np.maximum(moment_bundles((p,), zetas)[0].log_envelope, 0.0)
         raw_ok = peaks <= (math.inf if guard is None else math.log(guard))
         covered = _gap_runs(curve)
+        bound = covered["bound"]
+        # a bound gap is a gap in every column and no range or ratio gap besides
+        assert all(np.isnan(values[bound]).all() for values in curve.data.values())
         assert np.array_equal(covered["guard"], ~raw_ok)
-        assert np.array_equal(covered["range"], raw_ok & np.isnan(curve.data["n1"]))
+        assert np.array_equal(covered["range"], raw_ok & ~bound & np.isnan(curve.data["n1"]))
         for name in ("share1", "q00", "q2002"):
-            assert np.array_equal(covered[name], np.isnan(curve.data[name])), name
+            assert np.array_equal(covered[name], ~bound & np.isnan(curve.data[name])), name
         # a run's reason is what the one-point function raises at its first point
         for start, _, note in curve.gaps:
             reason = _reason(note)
@@ -442,23 +451,60 @@ def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
             if reason in points:
                 kwargs = {"max_magnitude": guard} if points[reason] is vacuum_moments else {}
                 with pytest.raises(Exception) as raised:
-                    points[reason](p, float(grid[start]), **kwargs)
+                    points[reason](p, float(zetas[start]), **kwargs)
                 assert str(raised.value) == note
-    assert seen == {"guard", "range", "share1", "q00"}
+    assert seen == {"guard", "bound", "range", "share1", "q00", "q2002"}
 
     # holes in one column: each stretch of NaN cells is its own run
     holes = np.arange(grid.size) % 7 < 3
     curve_columns = observables._curve_columns
 
     def holed(bundle, observable, raw_ok):
-        columns = curve_columns(bundle, observable, raw_ok)
+        columns, bounded = curve_columns(bundle, observable, raw_ok)
         columns["q2002"] = np.where(holes, math.nan, columns["q2002"])
-        return columns
+        return columns, bounded
 
     monkeypatch.setattr(observables, "_curve_columns", holed)
     curve = sample_curve(params_for(Kind.GAIN_LOSS, -0.5), "all", grid)
     assert np.array_equal(_gap_runs(curve)["q2002"], holes)
     assert sum(note.startswith("N00N") for *_, note in curve.gaps) == math.ceil(grid.size / 7)
+
+
+_BOUND_MESSAGE = "moments at zeta={!r} break non-negativity or the Cauchy-Schwarz bound"
+
+
+def test_point_functions_raise_the_bound_error(monkeypatch):
+    # launched photons past a bound, the vacuum within: the functions that launch them raise
+    far = effective_params(preset_realization(Kind.GAIN_PASSIVE, -7e11))
+    zetas = np.linspace(0.05, 10.0, 50)
+    bound = _gap_runs(sample_curve(far, "all", zetas))["bound"]
+    zeta = float(zetas[np.argmax(bound)])
+    message = f"^{re.escape(_BOUND_MESSAGE.format(zeta))}$"
+    for point, kwargs in [
+        (single_photon_numbers, {"port": 2, "max_magnitude": None}),
+        (noon_photon_numbers, {"max_magnitude": None}),
+        (q_noon, {}),
+    ]:
+        with pytest.raises(FloatingPointError, match=message):
+            point(far, zeta, **kwargs)
+    with pytest.raises(OverflowError):  # the vacuum keeps its bounds there
+        vacuum_moments(far, zeta, max_magnitude=None)
+
+    # negated sandwiches break a bound in the vacuum: every one-point function raises,
+    # with the zeta printed as a float
+    sandwich = observables._sandwich
+    monkeypatch.setattr(observables, "_sandwich", lambda *args: -sandwich(*args))
+    p = params_for(Kind.GAIN_LOSS, -0.5)
+    message = f"^{re.escape(_BOUND_MESSAGE.format(1.0))}$"
+    points = (vacuum_moments, q_vacuum, single_photon_numbers, noon_photon_numbers)
+    for point in (*points, noon_two_point, q_noon):
+        with pytest.raises(FloatingPointError, match=message):
+            point(p, 1)
+    # past the guard too: the bound error comes first, as the bound run does in a curve
+    with pytest.raises(FloatingPointError, match=message):
+        vacuum_moments(p, 1.0, max_magnitude=1e-3)
+    curve = sample_curve(p, "spont", [1.0], max_magnitude=1e-3)
+    assert [_reason(note) for *_, note in curve.gaps] == ["bound", "guard"]
 
 
 @pytest.mark.parametrize("observable", ["spont", "q00", "q2002"])
