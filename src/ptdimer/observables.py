@@ -36,8 +36,9 @@ grid is one call expm(G, zetas) of ``core.expm``, a truncated Taylor series
 with scaling and squaring (Al-Mohy and Higham 2011) that forms the powers of G
 once and scales and squares each point by its own count: a grid point equals
 the same point evaluated alone, bit for bit, and decayed products keep their
-accuracy.  ``moment_bundles`` stacks the generators of many devices, real and
-complex apart, into one such call each, and a device's bundle equals its own.
+accuracy.  ``moment_bundles`` stacks many devices: their generators, real and
+complex apart, go into one such call each, the rest runs once on the stack, and
+a device's row of the stack equals its own bundle.
 The route uses H and the pump weights only, never the moment equation of
 ``moments``.
 
@@ -181,6 +182,9 @@ class MomentBundle:
 
     Every field but ``h`` (the coupling matrix) is over e^{log_envelope}; the
     growth guard reads the predicted peak magnitude as e^{max(log_envelope, 0)}.
+    A stack of k devices on m points has a leading device axis on every field
+    but ``zetas``: n1, n2, n12 and log_envelope are (k, m), products (k, m, 4)
+    in the stack's common dtype, and h (k, 2, 2); ``bundle[i]`` is device i's.
     """
 
     zetas: np.ndarray
@@ -191,13 +195,26 @@ class MomentBundle:
     h: np.ndarray
     log_envelope: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, i) -> MomentBundle:
+        return MomentBundle(
+            self.zetas, self.n1[i], self.n2[i], self.n12[i], self.products[i], self.h[i],
+            self.log_envelope[i],
+        )
+
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite products give NaN, a bound gap
 def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """V* X V^T per point, as the sum over the bilinears (c* c, c* s, s* c, s* s) in ``weights``."""
+    """V* X V^T per point, as the sum over the bilinears (c* c, c* s, s* c, s* s) in ``weights``.
+
+    ``weights`` is (..., m, 4); ``x`` and ``h`` carry its leading axes without the grid's.
+    """
+    x, h = x[..., None, :, :], h[..., None, :, :]
     hc = h.conj()
     terms = (x, 1j * x @ h, -1j * hc @ x, hc @ x @ h)
-    return sum(weights[:, k, None, None] * term for k, term in enumerate(terms))
+    return sum(weights[..., k, None, None] * term for k, term in enumerate(terms))
 
 
 def _van_loan_generator(params: EffectiveParams):
@@ -222,38 +239,41 @@ def _van_loan_generator(params: EffectiveParams):
     return generator, w, h, rate
 
 
-def moment_bundles(devices, zetas: np.ndarray) -> list[MomentBundle]:
-    """The moment bundle of each device on one distance grid, from one exponential per dtype.
+def moment_bundles(devices, zetas: np.ndarray) -> MomentBundle:
+    """The moment bundles of a stack of devices on one distance grid, one exponential per dtype.
 
     The generators of imaginary-n devices are real and the others complex; each
-    kind is one stacked ``expm`` call, so a device's bundle equals the bundle of
-    a stack of that device alone, bit for bit.  n1 and n2 are NaN where the
-    vacuum moments break a bound.  Raises ValueError for a grid that is not
-    non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
+    kind is one stacked ``expm`` call, and the sandwich and the bound checks run
+    once on the whole stack, so row i of the stack equals the bundle of a stack
+    of device i alone: bit for bit where the stack has one dtype, in value where
+    it mixes both (a real device's products are complex there).  n1 and n2 are
+    NaN where the vacuum moments break a bound.  Raises ValueError for a grid
+    that is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
     """
     zetas = _grid(zetas)
-    parts = [_van_loan_generator(params) for params in devices]
-    generators = [generator for generator, *_ in parts]
-    blocks: list = [None] * len(parts)
-    for dtype in dict.fromkeys(generator.dtype for generator in generators):
-        chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
-        stack = np.array([generators[i] for i in chosen])
-        for i, grid_blocks in zip(chosen, expm(stack[:, None], zetas)):
-            blocks[i] = grid_blocks
-    bundles = []
-    for (_, w, h, rate), grid_blocks in zip(parts, blocks):
-        moments = _sandwich(grid_blocks[:, :4, 4], w, h)
-        n12 = moments[:, 0, 1]
-        n1, n2 = _checked_numbers(moments[:, 0, 0].real, moments[:, 1, 1].real, n12)
-        bundles.append(MomentBundle(zetas, n1, n2, n12, grid_blocks[:, :4, 0], h, rate * zetas))
-    return bundles
+    generators, w, h, rate = zip(*(_van_loan_generator(params) for params in devices))
+    dtypes = dict.fromkeys(generator.dtype for generator in generators)
+    if len(dtypes) == 1:  # as in every stack the package builds: no rows to place, no copy
+        blocks = expm(np.array(generators)[:, None], zetas)
+    else:
+        blocks = np.empty((len(generators), zetas.size, 5, 5), complex)
+        for dtype in dtypes:
+            chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
+            blocks[chosen] = expm(np.array([generators[i] for i in chosen])[:, None], zetas)
+    h = np.array(h)
+    moments = _sandwich(blocks[..., :4, 4], np.array(w), h)
+    n12 = moments[..., 0, 1]
+    n1, n2 = _checked_numbers(moments[..., 0, 0].real, moments[..., 1, 1].real, n12)
+    log_envelope = np.array(rate)[:, None] * zetas
+    return MomentBundle(zetas, n1, n2, n12, blocks[..., :4, 0], h, log_envelope)
 
 
 def with_envelope(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Raw ``values`` (grid axis first, products of ``order`` moments each); inf past the range."""
-    log_envelope = order * bundle.log_envelope.reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    """Raw ``values`` (bundle axes first, products of ``order`` moments); inf past the range."""
+    log_envelope = order * bundle.log_envelope
+    extra = (1,) * (np.ndim(values) - log_envelope.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
-        return values * np.exp(log_envelope)
+        return values * np.exp(log_envelope.reshape(log_envelope.shape + extra))
 
 
 def _checked_numbers(n1, n2, n12=0.0):
@@ -271,10 +291,11 @@ def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
 
     In the bundle's frame: the vacuum matrix [[n1, n12], [conj n12, n2]] plus the
     stimulated V* P V^T, P = diag(photons launched per guide), whose entry
-    (i, j) sums conj(V_ip) V_jp over the ports p (from 0).
+    (i, j) sums conj(V_ip) V_jp over the ports p (from 0).  A stack gives (k, m, 2, 2).
     """
     n12 = bundle.n12
-    moments = np.moveaxis(np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]]), -1, 0)
+    entries = np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]])  # (2, 2) + the bundle's axes
+    moments = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
     launched = np.diag([ports.count(0), ports.count(1)])
     return moments + _sandwich(bundle.products, launched, bundle.h)
 
@@ -282,9 +303,10 @@ def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
 def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers for one photon launched into each of ``ports`` (from 0), plus vacuum."""
     moments = launch_moments(bundle, ports)
-    return _checked_numbers(moments[:, 0, 0].real, moments[:, 1, 1].real)
+    return _checked_numbers(moments[..., 0, 0].real, moments[..., 1, 1].real)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or NaN, a gap
 def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
     """Coincidence moment <a1^dag a2^dag a2 a1> for the N00N input, in the bundle's frame squared.
 
@@ -299,9 +321,9 @@ def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
     y = bundle.products
     n1, n2, n12 = bundle.n1, bundle.n2, bundle.n12
     s = _sandwich(y, np.eye(2), bundle.h)
-    pair = 4.0 * np.abs(y[:, 1]) ** 2
+    pair = 4.0 * np.abs(y[..., 1]) ** 2
     spontaneous = n1 * n2 + np.abs(n12) ** 2
-    mixed = n1 * s[:, 1, 1].real + n2 * s[:, 0, 0].real + 2.0 * (n12 * s[:, 1, 0]).real
+    mixed = n1 * s[..., 1, 1].real + n2 * s[..., 0, 0].real + 2.0 * (n12 * s[..., 1, 0]).real
     return pair + spontaneous + mixed
 
 
@@ -502,6 +524,7 @@ def _curve_columns(
     """The CSV columns of ``observable``, and where the point's moments keep their bounds.
 
     Every column is NaN where a bound breaks, raw columns also where not ``raw_ok`` or finite.
+    A stack gives (k, m) columns, one row per device.
     """
     names = CURVE_COLUMNS[observable]
     ports = _INPUT_PORTS[observable]

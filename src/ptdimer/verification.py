@@ -6,18 +6,20 @@ built from the coupling matrix H and the pump weights (C. F. Van Loan, IEEE
 TAC 23(3), 1978; `core` / `observables`), and direct fixed-step integration
 of the second-moment equation of motion from its drift and pump (`moments`).
 This module drives both over a grid of device kinds, inversion strengths and
-distances, and reports the worst disagreement.  The devices are evaluated
-as stacks.  The oracle checks read each device's moment bundle, all from one
-``moment_bundles`` call, and four launch states from it: vacuum, one photon
-in guide 1, one photon in guide 2, and the two-photon N00N input.  For each,
-the full moment matrix <a_i^dag a_j>, cross moment included, is compared with
-the oracle, which integrates every launch state of every device in one call
-on the stacked drift and pump.  The correlation checks read the production
-q00 and q2002 columns, as ``sample_curve`` builds them, from one
-``moment_bundles`` call per check.  The module also exercises the structural
+distances, and reports the worst disagreement.  Each section runs once over
+all of its devices, as stacks.  The oracle checks read one ``moment_bundles``
+stack, every device's moment bundle, and four launch states from it: vacuum,
+one photon in guide 1, one photon in guide 2, and the two-photon N00N input.
+For each, the full moment matrix <a_i^dag a_j>, cross moment included, is
+compared with the oracle, which integrates every launch state of every device
+in one call on the stacked drift and pump; a launch state is one array
+expression over all devices.  The correlation checks read the production q00
+and q2002 columns, as ``sample_curve`` builds them, from one stack and one
+``_curve_columns`` call per check.  The module also exercises the structural
 identities the transfer matrix must satisfy on its own (determinant,
 composition, the degenerate limit, agreement with ``core.expm``, the Taylor
-scaling-and-squaring exponential, on exp(i zeta H), one zeta per sample).
+scaling-and-squaring exponential, on exp(i zeta H), one zeta per sample), as
+array expressions over the samples: a NaN in one sample fails its check.
 
 Growing and decaying solutions are compared after dividing out the common
 envelope exp(2 beta zeta), so the reported absolute deviations stay
@@ -123,63 +125,37 @@ def _structure_checks(report: VerificationReport) -> None:
             n = complex(n.real, 0.0)  # lossless devices must stay unitary
         za, zb = rng.uniform(0.05, 2.5, size=2)
         samples.append((n, za, zb))
-    generators = np.array([1j * hamiltonian(n) for n, _, _ in samples])
-    references = expm(generators, np.array([za for _, za, _ in samples]))
-    worst_det = worst_semi = worst_expm = worst_unitary = 0.0
-    for (n, za, zb), reference in zip(samples, references):
-        ua = propagator(n, za)
-        ub = propagator(n, zb)
-        uab = propagator(n, za + zb)
-        scale = max(1.0, float(np.max(np.abs(ua))), float(np.max(np.abs(ub))))
-        det = ua[0, 0] * ua[1, 1] - ua[0, 1] * ua[1, 0]
-        worst_det = max(worst_det, abs(det - 1.0) / scale**2)
-        worst_semi = max(worst_semi, float(np.max(np.abs(ub @ ua - uab))) / scale**2)
-        worst_expm = max(worst_expm, float(np.max(np.abs(ua - reference))) / scale)
-        if n.imag == 0.0:
-            gram = ua.conj().T @ ua
-            worst_unitary = max(worst_unitary, float(np.max(np.abs(gram - np.eye(2)))))
-    report.checks.append(
-        Check("propagator determinant (scaled)", worst_det, PROPAGATOR_STRUCTURE_TOL)
+    ns, za, zb = (np.array(column) for column in zip(*samples))
+    ua, ub, uab = (
+        np.array([propagator(n, zeta) for n, zeta in zip(ns, zetas)]) for zetas in (za, zb, za + zb)
     )
-    report.checks.append(
-        Check("propagator composition (scaled)", worst_semi, PROPAGATOR_STRUCTURE_TOL)
-    )
-    report.checks.append(
-        Check(
-            "propagator vs matrix exponential (scaled)",
-            worst_expm,
-            PROPAGATOR_STRUCTURE_TOL,
-        )
-    )
-    report.checks.append(
-        Check("propagator unitarity at real detuning", worst_unitary, UNITARITY_TOL)
-    )
+    reference = expm(np.array([1j * hamiltonian(n) for n in ns]), za)
+    # every deviation is a NaN-propagating np.max: a NaN from one sample fails its check
+    scale = np.maximum(np.maximum(np.abs(ua).max(axis=(1, 2)), np.abs(ub).max(axis=(1, 2))), 1.0)
+    det = ua[:, 0, 0] * ua[:, 1, 1] - ua[:, 0, 1] * ua[:, 1, 0]
+    worst_det = np.max(np.abs(det - 1.0) / scale**2)
+    worst_semi = float(np.max(np.abs(ub @ ua - uab).max(axis=(1, 2)) / scale**2))
+    worst_expm = float(np.max(np.abs(ua - reference).max(axis=(1, 2)) / scale))
+    lossless = ua[ns.imag == 0.0]
+    worst_unitary = float(np.max(np.abs(lossless.conj().swapaxes(1, 2) @ lossless - np.eye(2))))
 
     # At the degeneracy the closed form collapses to a polynomial in zeta,
     # and it must approach that polynomial continuously from both regimes.
-    worst_exact = 0.0
-    for sign in (-1.0, 1.0):
-        for zeta in (0.7, 5.0):
-            u = propagator(complex(0.0, sign), zeta)
-            limit = np.eye(2) + 1j * zeta * hamiltonian(complex(0.0, sign))
-            worst_exact = max(worst_exact, float(np.max(np.abs(u - limit))))
-    report.checks.append(
-        Check("degenerate propagator is polynomial", worst_exact, UNITARITY_TOL)
-    )
+    def off_polynomial(sign: float, zeta: float, delta: float = 0.0) -> np.ndarray:
+        limit = np.eye(2) + 1j * zeta * hamiltonian(complex(0.0, sign))
+        return np.abs(propagator(complex(0.0, sign * (1.0 + delta)), zeta) - limit)
 
-    worst_cont = 0.0
-    for sign in (-1.0, 1.0):
-        for delta in (-1e-6, 1e-6):
-            u = propagator(complex(0.0, sign * (1.0 + delta)), 5.0)
-            limit = np.eye(2) + 5.0j * hamiltonian(complex(0.0, sign))
-            worst_cont = max(worst_cont, float(np.max(np.abs(u - limit))))
-    report.checks.append(
-        Check(
-            "continuity through the degenerate point",
-            worst_cont,
-            DEGENERATE_CONTINUITY_TOL,
-        )
-    )
+    signs = (-1.0, 1.0)
+    exact = float(np.max([off_polynomial(s, z) for s in signs for z in (0.7, 5.0)]))
+    near = float(np.max([off_polynomial(s, 5.0, d) for s in signs for d in (-1e-6, 1e-6)]))
+    report.checks += [
+        Check("propagator determinant (scaled)", worst_det, PROPAGATOR_STRUCTURE_TOL),
+        Check("propagator composition (scaled)", worst_semi, PROPAGATOR_STRUCTURE_TOL),
+        Check("propagator vs matrix exponential (scaled)", worst_expm, PROPAGATOR_STRUCTURE_TOL),
+        Check("propagator unitarity at real detuning", worst_unitary, UNITARITY_TOL),
+        Check("degenerate propagator is polynomial", exact, UNITARITY_TOL),
+        Check("continuity through the degenerate point", near, DEGENERATE_CONTINUITY_TOL),
+    ]
 
 
 # Launch states of the oracle checks: check name and the input ports (from 0)
@@ -199,10 +175,11 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
     """Compare the full moment matrix of each launch state with the moment oracle.
 
     Every reachable device gets its moment bundle on the distance marks, all
-    from one ``moment_bundles`` call, and its oracle paths for every launch
+    in one ``moment_bundles`` stack, and its oracle paths for every launch
     state, all from one ``integrate_moments_path`` call on the stacked drift
-    and pump.  The two-photon state is checked on the gain-loss and gain-gain
-    devices of the first magnitude.
+    and pump; each launch state is one array expression over the stack.  The
+    two-photon state is checked on the gain-loss and gain-gain devices of the
+    first magnitude.
     """
     devices = [
         (kind, number, realization)
@@ -217,24 +194,26 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
     oracle = np.stack(integrate_moments_path(initial, stacked, GRID_ZETAS, step=ORACLE_STEP), 2)
     params = [effective_params(realization) for _, _, realization in devices]
     bundles = moment_bundles(params, GRID_ZETAS)
-    for (kind, number, _), p, bundle, paths in zip(devices, params, bundles, oracle):
+    frame = np.exp(-2.0 * np.array([p.beta for p in params])[:, None] * bundles.zetas)
+    worst = np.empty((len(devices), len(launches)))  # device-major, as the checks are listed
+    for j, (_, ports) in enumerate(launches):
+        gaps = np.abs(with_envelope(bundles, launch_moments(bundles, ports)) - oracle[:, j])
+        worst[:, j] = np.max(gaps.max(axis=(2, 3)) * frame, axis=1)
+    for (kind, number, _), p, deviations in zip(devices, params, worst):
         states = _LAUNCH_STATES
         if number == 0 and kind in _TWO_PHOTON_KINDS:
             states += (_TWO_PHOTON_STATE,)
-        frame = np.exp(-2.0 * p.beta * bundle.zetas)
         device = f"{kind.value} gamma={p.gamma:+.2f}"
-        for (name, ports), path in zip(states, paths):
-            gaps = np.abs(with_envelope(bundle, launch_moments(bundle, ports)) - path)
-            worst = float(np.max(gaps.max(axis=(1, 2)) * frame))
-            report.checks.append(Check(name.format(device=device), worst, tolerance))
+        for (name, _), deviation in zip(states, deviations):
+            report.checks.append(Check(name.format(device=device), float(deviation), tolerance))
 
 
-def _production_columns(
+def _production_column(
     realizations: list[DimerRealization], observable: str, zetas: tuple[float, ...]
-) -> list[np.ndarray]:
-    """The CSV column ``observable`` of each device, unguarded, from one ``moment_bundles`` call."""
+) -> np.ndarray:
+    """The CSV column ``observable`` of each device (one row each), unguarded, as one stack."""
     bundles = moment_bundles([effective_params(r) for r in realizations], zetas)
-    return [_curve_columns(b, observable, np.array([True]))[0][observable] for b in bundles]
+    return _curve_columns(bundles, observable, np.array([True]))[0][observable]
 
 
 def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
@@ -246,20 +225,14 @@ def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
         for realization in _reachable(kind, GRID_GAMMA_MAGNITUDES)
         if any(n.imag < 0.0 for n in raw_indices(realization))
     ]
-    bounds = [0.0]
-    for q in _production_columns(pumped, "q00", (0.3, 1.7, 4.1)):
-        bounds.extend(np.maximum(-q, q - 1.0))
-    report.checks.append(
-        Check("vacuum correlation bounded in [0, 1]", float(np.max(bounds)), POSITIVITY_TOL)
-    )
+    q = _production_column(pumped, "q00", (0.3, 1.7, 4.1))
+    bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
+    report.checks.append(Check("vacuum correlation bounded in [0, 1]", bound, POSITIVITY_TOL))
 
-    anchors = [0.0]
     presets = [preset_realization(kind, 0.7) for kind in Kind]
-    for q in _production_columns(presets, "q2002", (0.0,)):
-        anchors.extend(np.abs(q + 1.0))
-    report.checks.append(
-        Check("two-photon correlation anchored at -1", float(np.max(anchors)), tolerance)
-    )
+    q = _production_column(presets, "q2002", (0.0,))
+    anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
+    report.checks.append(Check("two-photon correlation anchored at -1", anchor, tolerance))
 
 
 def run_verification(tolerance: float = 1e-7) -> VerificationReport:

@@ -36,7 +36,13 @@ from ptdimer.configurations import (
     preset_realization,
     realization_for_gamma,
 )
-from ptdimer.observables import CURVE_COLUMNS, ObservableCurve, asymptotic_shares
+from ptdimer.observables import (
+    CURVE_COLUMNS,
+    ObservableCurve,
+    asymptotic_shares,
+    launch_moments,
+    with_envelope,
+)
 
 
 def read_csv(path):
@@ -409,13 +415,13 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
     # conj(V_2p) V_1p, the sandwiches formed from a bundle's products, which
     # feed the N00N interference term of q2002; the vacuum moments (formed
     # inside moment_bundles) and the photon numbers stay intact, so only full
-    # moment matrices can notice
+    # moment matrices can notice; a stack's products are one array
     moment_bundles, sandwich = ptdimer.observables.moment_bundles, ptdimer.observables._sandwich
     products = []
 
     def recorded(*args, **kwargs):
         bundles = moment_bundles(*args, **kwargs)
-        products.extend(bundle.products for bundle in bundles)
+        products.append(bundles.products)
         return bundles
 
     def halved(weights, x, h):
@@ -434,6 +440,78 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
         for check in report.failures
     )
     assert not any(check.name.endswith("vacuum") for check in report.failures)
+
+
+def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
+    # every oracle check, recomputed from its device's own stack of one against the
+    # same oracle path, gives the report's deviation bit for bit: the stacked section
+    # keeps devices, launch states and check names aligned
+    verification = ptdimer.verification
+    moment_bundles, integrate = verification.moment_bundles, verification.integrate_moments_path
+    stacks, paths = [], []
+
+    def recorded_bundles(params, zetas):
+        stacks.append(list(params))
+        return moment_bundles(params, zetas)
+
+    def recorded_paths(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        paths.extend(result)
+        return result
+
+    monkeypatch.setattr(verification, "moment_bundles", recorded_bundles)
+    monkeypatch.setattr(verification, "integrate_moments_path", recorded_paths)
+    report = verification.run_verification(1e-7)
+    devices, oracle = stacks[0], np.stack(paths, 2)  # the oracle section's stack comes first
+    launches = verification._LAUNCH_STATES + (verification._TWO_PHOTON_STATE,)
+    suffixes = [name.split("] ")[-1] for name, _ in launches]
+    index = -1
+    checks = [c for c in report.checks if c.name.startswith(("moment oracle", "two-photon mean"))]
+    for check in checks:
+        j = 3 if check.name.startswith("two-photon") else suffixes.index(check.name.split("] ")[1])
+        if j == 0:  # each device's checks start with its vacuum launch
+            index += 1
+        p = devices[index]
+        (bundle,) = moment_bundles((p,), verification.GRID_ZETAS)
+        own = with_envelope(bundle, launch_moments(bundle, launches[j][1]))
+        frame = np.exp(-2.0 * p.beta * bundle.zetas)
+        deviation = float(np.max(np.abs(own - oracle[index, j]).max(axis=(1, 2)) * frame))
+        assert deviation.hex() == check.deviation.hex(), check.name
+    assert len(checks) == 66 and index + 1 == len(devices) == 21
+
+
+def test_verify_detects_a_reversed_device_stack(monkeypatch):
+    # a bundle stack whose rows run against its devices must fail the oracle checks
+    moment_bundles = ptdimer.verification.moment_bundles
+    monkeypatch.setattr(
+        ptdimer.verification, "moment_bundles", lambda *args: moment_bundles(*args)[::-1]
+    )
+    report = ptdimer.verification.run_verification(1e-7)
+    assert not report.ok
+    assert any("moment oracle" in check.name for check in report.failures)
+
+
+def test_verify_fails_on_a_nan_structure_sample(monkeypatch, capsys):
+    # the structure checks fold their samples with np.max, which keeps a NaN: the fifth
+    # propagator call (the fifth sample's U(za)) fails each check that reads it, by name
+    propagator, calls = ptdimer.verification.propagator, []
+
+    def fifth_is_nan(n, zeta):
+        calls.append(zeta)
+        return propagator(n, zeta) * (math.nan if len(calls) == 5 else 1.0)
+
+    monkeypatch.setattr(ptdimer.verification, "propagator", fifth_is_nan)
+    report = ptdimer.verification.run_verification(1e-7)
+    assert {check.name for check in report.failures} == {
+        "propagator determinant (scaled)",
+        "propagator composition (scaled)",
+        "propagator vs matrix exponential (scaled)",
+    }
+    calls.clear()
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL propagator determinant (scaled): deviation nan" in out
+    assert out.endswith("3 checks failed\n")
 
 
 def test_verify_reports_a_route_that_breaks_a_bound(monkeypatch, capsys):
