@@ -185,6 +185,7 @@ class MomentBundle:
     A stack of k devices on m points has a leading device axis on every field
     but ``zetas``: n1, n2, n12 and log_envelope are (k, m), products (k, m, 4)
     in the stack's common dtype, and h (k, 2, 2); ``bundle[i]`` is device i's.
+    Indexing is defined on stacks only: a one-device bundle raises TypeError.
     """
 
     zetas: np.ndarray
@@ -199,6 +200,8 @@ class MomentBundle:
         return len(self.h)
 
     def __getitem__(self, i) -> MomentBundle:
+        if self.h.ndim != 3:
+            raise TypeError("only a stack of moment bundles can be indexed")
         return MomentBundle(
             self.zetas, self.n1[i], self.n2[i], self.n12[i], self.products[i], self.h[i],
             self.log_envelope[i],
@@ -240,26 +243,25 @@ def _van_loan_generator(params: EffectiveParams):
 
 
 def moment_bundles(devices, zetas: np.ndarray) -> MomentBundle:
-    """The moment bundles of a stack of devices on one distance grid, one exponential per dtype.
+    """The moment bundles of a non-empty stack of devices on one distance grid.
 
-    The generators of imaginary-n devices are real and the others complex; each
-    kind is one stacked ``expm`` call, and the sandwich and the bound checks run
-    once on the whole stack, so row i of the stack equals the bundle of a stack
-    of device i alone: bit for bit where the stack has one dtype, in value where
-    it mixes both (a real device's products are complex there).  n1 and n2 are
-    NaN where the vacuum moments break a bound.  Raises ValueError for a grid
-    that is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
+    The generators of imaginary-n devices are real and the others complex; each kind
+    is one stacked ``expm`` call, and the sandwich and the bound checks run once on
+    the whole stack, so row i of the stack equals the bundle of a stack of device i
+    alone: bit for bit where the stack has one dtype, in value where it mixes both
+    (a real device's products are complex there).  n1 and n2 are NaN where the
+    vacuum moments break a bound.  Raises ValueError for an empty stack, and for a
+    grid that is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
     """
     zetas = _grid(zetas)
-    generators, w, h, rate = zip(*(_van_loan_generator(params) for params in devices))
-    dtypes = dict.fromkeys(generator.dtype for generator in generators)
-    if len(dtypes) == 1:  # as in every stack the package builds: no rows to place, no copy
-        blocks = expm(np.array(generators)[:, None], zetas)
-    else:
-        blocks = np.empty((len(generators), zetas.size, 5, 5), complex)
-        for dtype in dtypes:
-            chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
-            blocks[chosen] = expm(np.array([generators[i] for i in chosen])[:, None], zetas)
+    stack = [_van_loan_generator(params) for params in devices]
+    if not stack:
+        raise ValueError("moment_bundles needs at least one device")
+    generators, w, h, rate = zip(*stack)
+    blocks = np.empty((len(generators), zetas.size, 5, 5), np.result_type(*generators))
+    for dtype in dict.fromkeys(generator.dtype for generator in generators):
+        chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
+        blocks[chosen] = expm(np.array([generators[i] for i in chosen])[:, None], zetas)
     h = np.array(h)
     moments = _sandwich(blocks[..., :4, 4], np.array(w), h)
     n12 = moments[..., 0, 1]

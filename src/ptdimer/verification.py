@@ -133,6 +133,7 @@ def _structure_checks(report: VerificationReport) -> None:
     # every deviation is a NaN-propagating np.max: a NaN from one sample fails its check
     scale = np.maximum(np.maximum(np.abs(ua).max(axis=(1, 2)), np.abs(ub).max(axis=(1, 2))), 1.0)
     det = ua[:, 0, 0] * ua[:, 1, 1] - ua[:, 0, 1] * ua[:, 1, 0]
+    # left an np.float64, unlike the others: the repr of its report triple keeps numpy's form
     worst_det = np.max(np.abs(det - 1.0) / scale**2)
     worst_semi = float(np.max(np.abs(ub @ ua - uab).max(axis=(1, 2)) / scale**2))
     worst_expm = float(np.max(np.abs(ua - reference).max(axis=(1, 2)) / scale))
@@ -204,7 +205,8 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
         if number == 0 and kind in _TWO_PHOTON_KINDS:
             states += (_TWO_PHOTON_STATE,)
         device = f"{kind.value} gamma={p.gamma:+.2f}"
-        for (name, _), deviation in zip(states, deviations):
+        # every device's two-photon deviation is computed, but only listed ones are read
+        for (name, _), deviation in zip(states, deviations[: len(states)]):
             report.checks.append(Check(name.format(device=device), float(deviation), tolerance))
 
 

@@ -934,6 +934,15 @@ def test_moment_bundles_equal_one_device_bundles_bitwise():
     assert bundles.products.dtype == np.complex128
 
 
+def test_moment_bundles_reject_an_empty_stack_and_index_only_stacks():
+    grid = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="at least one device"):
+        moment_bundles((), grid)
+    (alone,) = moment_bundles((params_for(Kind.GAIN_LOSS, -0.5),), grid)
+    with pytest.raises(TypeError, match="only a stack"):
+        alone[0]
+
+
 def test_stacked_columns_equal_stacks_of_one_bitwise():
     # launch_moments and _curve_columns broadcast over the device axis: each row of a
     # stack's result is that device's stack-of-one result, byte for byte, gaps included
