@@ -54,8 +54,9 @@ where the phase Omega zeta still carries about 8 digits (shares within 1.2e-9
 of 60-digit arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance
 is a ValueError.
 
-A single-distance function is the one-point grid [zeta] of ``sample_curve``'s
-code: the curve's values bit for bit, and the error of ``_GAPS`` where it has a gap.
+A single-distance function reads the one-point grid [zeta] of ``sample_curve``'s
+code, the curve's values bit for bit, and raises the first of the curve's gap
+reasons, in ``_GAPS`` order, that reaches the columns it returns.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ _GAPS: dict[str, tuple[type, str]] = {
         DecayedFieldError, "N00N statistics undefined at zeta={zeta!r}: mean field fully decayed"
     ),
 }
+
+# The reasons that reach raw photon numbers.
+_RAW_GAPS = ("bound", "guard", "range")
 
 
 def _gap(reason: str, zeta, exponent: float = math.nan, guard: float | None = None) -> Exception:
@@ -347,34 +351,6 @@ def _grid(zetas) -> np.ndarray:
     return grid
 
 
-def _guarded_bundle(params: EffectiveParams, zetas, max_magnitude: float | None):
-    """The bundle on a grid, each point's log peak magnitude, and where that passes the guard."""
-    if max_magnitude is not None and not float(max_magnitude) > 0.0:
-        raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
-    log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
-    bundle = moment_bundles((params,), zetas)[0]
-    exponents = np.maximum(bundle.log_envelope, 0.0)
-    return bundle, exponents, exponents <= log_guard
-
-
-def _point(params: EffectiveParams, zeta: float, max_magnitude: float | None) -> MomentBundle:
-    """The bundle of the one-point grid [zeta]; raises a vacuum bound gap, then a guard gap."""
-    bundle, exponents, raw_ok = _guarded_bundle(params, [zeta], max_magnitude)
-    if np.isnan(bundle.n1[0]):
-        raise _gap("bound", float(bundle.zetas[0]))
-    if not raw_ok[0]:
-        raise _gap("guard", zeta, exponents[0], max_magnitude)
-    return bundle
-
-
-def _raw_point(bundle: MomentBundle, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Raw ``values`` of a one-point bundle; raises where they are NaN (bound) or past the range."""
-    raw = with_envelope(bundle, values, order)[0]
-    if not np.isfinite(raw).all():
-        raise _gap("bound" if np.isnan(values).any() else "range", float(bundle.zetas[0]))
-    return raw
-
-
 def vacuum_moments(
     params: EffectiveParams,
     zeta: float,
@@ -382,9 +358,8 @@ def vacuum_moments(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> VacuumMoments:
     """Spontaneous second moments generated from vacuum at distance zeta."""
-    bundle = _point(params, zeta, max_magnitude)
-    moments = _raw_point(bundle, launch_moments(bundle, ()))
-    return VacuumMoments(moments[0, 0].real, moments[1, 1].real, moments[0, 1])
+    _, point = _point_columns(params, "q00", zeta, _RAW_GAPS, max_magnitude)
+    return VacuumMoments(point["n1"], point["n2"], complex(point["n12_re"], point["n12_im"]))
 
 
 def q_vacuum(params: EffectiveParams, zeta: float) -> float:
@@ -396,7 +371,7 @@ def q_vacuum(params: EffectiveParams, zeta: float) -> float:
     A ratio of moments, so it stays well defined far beyond the growth guard;
     evaluation is unguarded.
     """
-    return _ratio_point(params, "q00", zeta)
+    return _point_columns(params, "q00", zeta, ("bound", "q00"))[1]["q00"]
 
 
 def single_photon_numbers(
@@ -413,8 +388,8 @@ def single_photon_numbers(
     """
     if port not in (1, 2):
         raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    bundle = _point(params, zeta, max_magnitude)
-    return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (port - 1,)))))
+    _, point = _point_columns(params, "single", zeta, _RAW_GAPS, max_magnitude, (port - 1,))
+    return PhotonNumbers(point["n1"], point["n2"])
 
 
 def noon_photon_numbers(
@@ -424,8 +399,8 @@ def noon_photon_numbers(
     max_magnitude: float | None = GROWTH_GUARD_MAX,
 ) -> PhotonNumbers:
     """Mean photon numbers for the two-photon input (|20> + |02>)/sqrt(2)."""
-    bundle = _point(params, zeta, max_magnitude)
-    return PhotonNumbers(*_raw_point(bundle, np.column_stack(_photon_numbers(bundle, (0, 1)))))
+    _, point = _point_columns(params, "noon_n", zeta, _RAW_GAPS, max_magnitude)
+    return PhotonNumbers(point["n1"], point["n2"])
 
 
 def noon_two_point(
@@ -439,8 +414,11 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    bundle = _point(params, zeta, max_magnitude)
-    return float(_raw_point(bundle, _noon_two_point(bundle), order=2))
+    bundle, _ = _point_columns(params, "q2002", zeta, ("bound", "guard"), max_magnitude)
+    value = float(with_envelope(bundle, _noon_two_point(bundle), order=2)[0])
+    if not math.isfinite(value):
+        raise _gap("range", float(bundle.zetas[0]))
+    return value
 
 
 def q_noon(params: EffectiveParams, zeta: float) -> float:
@@ -450,7 +428,7 @@ def q_noon(params: EffectiveParams, zeta: float) -> float:
     zero without gain, and crossing into bunching once the spontaneous
     background dominates on amplifying devices.  A ratio of moments; unguarded.
     """
-    return _ratio_point(params, "q2002", zeta)
+    return _point_columns(params, "q2002", zeta, ("bound", "q2002"))[1]["q2002"]
 
 
 def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
@@ -521,15 +499,15 @@ class ObservableCurve:
 
 @np.errstate(all="ignore")  # zero denominators, the float range and bound breaks give NaN gaps
 def _curve_columns(
-    bundle: MomentBundle, observable: str, raw_ok: np.ndarray
+    bundle: MomentBundle, observable: str, raw_ok: np.ndarray, ports: tuple[int, ...] | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The CSV columns of ``observable``, and where the point's moments keep their bounds.
 
     Every column is NaN where a bound breaks, raw columns also where not ``raw_ok`` or finite.
-    A stack gives (k, m) columns, one row per device.
+    ``ports`` overrides the observable's input ports.  A stack gives (k, m) columns.
     """
     names = CURVE_COLUMNS[observable]
-    ports = _INPUT_PORTS[observable]
+    ports = _INPUT_PORTS[observable] if ports is None else ports
     n1, n2 = _photon_numbers(bundle, ports)
     columns = {}
     if "q2002" in names:  # the only column that needs the N00N numbers: their bound gaps the point
@@ -548,13 +526,33 @@ def _curve_columns(
     return {name: columns[name] for name in names}, ~np.isnan(n1)
 
 
-def _ratio_point(params: EffectiveParams, observable: str, zeta: float) -> float:
-    """The ratio column ``observable`` at one distance, unguarded; raises where a curve gaps."""
-    columns, bounded = _curve_columns(_point(params, zeta, None), observable, np.array([True]))
-    value = float(columns[observable][0])
-    if math.isnan(value):
-        raise _gap(observable, zeta) if bounded[0] else _gap("bound", float(zeta))
-    return value
+def _evaluate(params, observable, zetas, max_magnitude, ports=None):
+    """The bundle, each point's log peak magnitude, the columns of ``observable``, and the
+    points each ``_GAPS`` reason marks, in table order: the one gap decision of grid and point."""
+    if max_magnitude is not None and not float(max_magnitude) > 0.0:
+        raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
+    log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
+    bundle = moment_bundles((params,), zetas)[0]
+    exponents = np.maximum(bundle.log_envelope, 0.0)
+    raw_ok = exponents <= log_guard
+    columns, bounded = _curve_columns(bundle, observable, raw_ok, ports)
+    masks = {"bound": ~bounded, "guard": ~raw_ok}
+    masks["range"] = bounded & raw_ok & np.isnan(columns["n1"])
+    masks.update((name, bounded & np.isnan(columns[name])) for name in _GAPS if name in columns)
+    return bundle, exponents, columns, masks
+
+
+def _point_columns(params, observable, zeta, reasons, max_magnitude=None, ports=None):
+    """The bundle and the columns of the one-point curve [zeta] of ``observable``.
+
+    Raises the point's first gap, in table order, among ``reasons``: those that
+    reach the columns the caller reads.
+    """
+    bundle, exponents, columns, masks = _evaluate(params, observable, [zeta], max_magnitude, ports)
+    for reason, mask in masks.items():
+        if reason in reasons and mask[0]:
+            raise _gap(reason, float(bundle.zetas[0]), exponents[0], max_magnitude)
+    return bundle, {name: float(values[0]) for name, values in columns.items()}
 
 
 def sample_curve(
@@ -571,20 +569,16 @@ def sample_curve(
     undefined or guarded values turn into NaN entries instead of aborting the
     sweep: every column where the moments break a bound, raw columns past the
     growth guard or the floating-point range, and ratios with a zero
-    denominator.  A run's reason in ``gaps`` is the message a one-point
-    function raises at the run's first point.  The grid is kept as a
+    denominator.  ``gaps`` holds the runs of the points each reason marks; a
+    one-point function raises the first of the marks on its columns, so a run's
+    reason is its error at the run's first point.  The grid is kept as a
     read-only copy and must lie in [0, MAX_ZETA].
     """
     if observable not in CURVE_COLUMNS:
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
-    bundle, exponents, raw_ok = _guarded_bundle(params, zetas, max_magnitude)
-    columns, bounded = _curve_columns(bundle, observable, raw_ok)
-
-    masks = {"bound": ~bounded, "guard": ~raw_ok}
-    masks["range"] = bounded & raw_ok & np.isnan(columns["n1"])
-    masks.update((name, bounded & np.isnan(columns[name])) for name in _GAPS if name in columns)
+    bundle, exponents, columns, masks = _evaluate(params, observable, zetas, max_magnitude)
     zetas, gaps = bundle.zetas.tolist(), []  # floats repr as the one-point functions print
     for reason, mask in masks.items():
         edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()

@@ -88,7 +88,10 @@ class VerificationReport:
         return [check for check in self.checks if not check.ok]
 
     def worst(self) -> Check:
-        return max(self.checks, key=lambda c: c.deviation / c.limit)
+        """The check farthest past its limit; a non-finite deviation is the farthest."""
+        return max(
+            self.checks, key=lambda c: (not math.isfinite(c.deviation), c.deviation / c.limit)
+        )
 
     def describe(self) -> str:
         lines = [f"{len(self.checks)} checks, route tolerance {self.tolerance:g}"]

@@ -377,6 +377,17 @@ def test_verify_fails_at_impossible_tolerance():
     assert "FAIL" in text
 
 
+def test_verify_report_ranks_a_nan_deviation_worst():
+    from ptdimer.verification import Check, VerificationReport
+
+    report = VerificationReport(tolerance=1e-7)
+    report.checks += [Check("a", 1e-9, 1e-7), Check("b", math.nan, 1e-7), Check("c", 5e-8, 1e-7)]
+    assert report.worst().name == "b"
+    lines = report.describe().splitlines()
+    assert lines[1] == "FAIL b: deviation nan > 1e-07"
+    assert lines[2] == "worst: b (nan of allowed 1e-07)"
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--tolerance", "-1"]) == 2
 

@@ -459,8 +459,8 @@ def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
     holes = np.arange(grid.size) % 7 < 3
     curve_columns = observables._curve_columns
 
-    def holed(bundle, observable, raw_ok):
-        columns, bounded = curve_columns(bundle, observable, raw_ok)
+    def holed(*args):
+        columns, bounded = curve_columns(*args)
         columns["q2002"] = np.where(holes, math.nan, columns["q2002"])
         return columns, bounded
 
@@ -526,7 +526,10 @@ def test_sample_curve_point_equals_point_alone(kind, observable):
 def _point_or_error(point, *args, **kwargs):
     try:
         return point(*args, **kwargs)
-    except (GrowthGuardError, OverflowError, NoSpontaneousFieldError, DecayedFieldError) as exc:
+    except (
+        GrowthGuardError, FloatingPointError, OverflowError, NoSpontaneousFieldError,
+        DecayedFieldError,
+    ) as exc:
         return exc
 
 
@@ -539,41 +542,65 @@ def _one_point_devices():
     yield EffectiveParams(0.5j, 0.1j)  # c = 2 beta < 0 with guide 2 pumped: a steady state
 
 
-def test_point_functions_read_the_one_point_curve():
+def test_point_functions_read_the_one_point_curve(monkeypatch):
     # a point function is the one-point grid of sample_curve: same values, bit for
-    # bit, and an error exactly where the curve has a gap
+    # bit, and where the curve has a gap among the function's reasons, the first
+    # of them as its error
     p = EffectiveParams(0.5j, 0.1j)
     assert vacuum_pump_weights(p)[1] > 0.0 and p.beta < 0.0
-    guard_note = "predicted magnitude"
+    # a curve of one photon launched into guide 2, for single_photon_numbers(port=2)
+    monkeypatch.setitem(observables._INPUT_PORTS, "single2", (1,))
+    monkeypatch.setitem(observables.CURVE_COLUMNS, "single2", CURVE_COLUMNS["single"])
+    raw_reasons = ("bound", "guard", "range")
+    numbers = ("n1", "n2"), lambda v: (v.n1, v.n2)
     raw = [
         (vacuum_moments, {}, "q00", ("n1", "n2", "n12_re", "n12_im"),
          lambda v: (v.n1, v.n2, v.n12.real, v.n12.imag)),
-        (single_photon_numbers, {"port": 1}, "single", ("n1", "n2"), lambda v: (v.n1, v.n2)),
-        (noon_photon_numbers, {}, "noon_n", ("n1", "n2"), lambda v: (v.n1, v.n2)),
+        (single_photon_numbers, {"port": 1}, "single", *numbers),
+        (single_photon_numbers, {"port": 2}, "single2", *numbers),
+        (noon_photon_numbers, {}, "noon_n", *numbers),
     ]
     cases = [
-        (point, {**kwargs, "max_magnitude": guard}, observable, names, values, guard)
+        (point, {**kwargs, "max_magnitude": guard}, observable, names, values, raw_reasons, guard)
         for point, kwargs, observable, names, values in raw
         for guard in (GROWTH_GUARD_MAX, None)
     ]
-    cases += [  # the ratios are unguarded
-        (q_vacuum, {}, "q00", ("q00",), lambda v: (v,), None),
-        (q_noon, {}, "q2002", ("q2002",), lambda v: (v,), None),
+    cases += [  # no curve column: checked for its bound and guard gaps only
+        (noon_two_point, {"max_magnitude": guard}, "q2002", (), None, ("bound", "guard"), guard)
+        for guard in (GROWTH_GUARD_MAX, None)
     ]
-    for p in _one_point_devices():
-        for zeta in (0.0, 0.3, 5.0, 40.0, 300.0):  # 300: raw numbers past the float range
-            for function, kwargs, observable, names, values, guard in cases:
-                point = _point_or_error(function, p, zeta, **kwargs)
-                curve = sample_curve(p, observable, [zeta], max_magnitude=guard)
-                guarded = any(note.startswith(guard_note) for *_, note in curve.gaps)
-                where = (p, zeta, function.__name__, guard)
-                assert isinstance(point, GrowthGuardError) == guarded, where
-                column = [float(curve.data[name][0]) for name in names]
-                if isinstance(point, Exception):
-                    assert any(math.isnan(value) for value in column), where
-                    continue
-                for got, want in zip(values(point), column):
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), where
+    cases += [  # the ratios are unguarded
+        (q_vacuum, {}, "q00", ("q00",), lambda v: (v,), ("bound", "q00"), None),
+        (q_noon, {}, "q2002", ("q2002",), lambda v: (v,), ("bound", "q2002"), None),
+    ]
+    points = [
+        (p, zeta)
+        for p in _one_point_devices()
+        for zeta in (0.0, 0.3, 5.0, 40.0, 300.0)  # 300: raw numbers past the float range
+    ]
+    # |Omega| zeta near 1e12: launched photons break a bound at single points, past the guard
+    far = effective_params(preset_realization(Kind.GAIN_PASSIVE, -7e11))
+    zetas = np.linspace(0.05, 10.0, 50)
+    bound = _gap_runs(sample_curve(far, "noon_n", zetas))["bound"]
+    assert bound.sum() == 3
+    points += [(far, float(zeta)) for zeta in zetas[bound]]
+    for p, zeta in points:
+        for function, kwargs, observable, names, values, reasons, guard in cases:
+            point = _point_or_error(function, p, zeta, **kwargs)
+            curve = sample_curve(p, observable, [zeta], max_magnitude=guard)
+            notes = [note for *_, note in curve.gaps if _reason(note) in reasons]
+            where = (p, zeta, function.__name__, kwargs, guard)
+            if notes:
+                assert isinstance(point, Exception), where
+                assert str(point) == notes[0], where
+                continue
+            if function is noon_two_point:
+                assert not isinstance(point, Exception) or _reason(str(point)) == "range", where
+                continue
+            assert not isinstance(point, Exception), where
+            column = [float(curve.data[name][0]) for name in names]
+            for got, want in zip(values(point), column):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), where
 
 
 @pytest.mark.parametrize(
