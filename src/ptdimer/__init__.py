@@ -17,8 +17,6 @@ from .configurations import (
 )
 from .core import (
     EffectiveParams,
-    Regime,
-    classify_regime,
     complex_sinc,
     dispersion,
     hamiltonian,
@@ -42,7 +40,6 @@ from .observables import (
     noon_two_point,
     q_noon,
     q_vacuum,
-    renormalize,
     sample_curve,
     single_photon_numbers,
     vacuum_moments,
@@ -60,8 +57,6 @@ __all__ = [
     "raw_indices",
     "realization_for_gamma",
     "EffectiveParams",
-    "Regime",
-    "classify_regime",
     "complex_sinc",
     "dispersion",
     "hamiltonian",
@@ -81,7 +76,6 @@ __all__ = [
     "noon_two_point",
     "q_noon",
     "q_vacuum",
-    "renormalize",
     "sample_curve",
     "single_photon_numbers",
     "vacuum_moments",

@@ -178,8 +178,7 @@ def _write_sweep(run: RunSpec) -> ObservableCurve:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     path = Path(run.out)
-    if not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(path, kind, params, run.nr, run.g, curve)
     return curve
 

@@ -23,7 +23,6 @@ ones: oscillatory transfer for |gamma| < 1, linear-in-zeta growth exactly at
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,10 +32,6 @@ import numpy as np
 # Taylor series.  This keeps the degenerate branch exact (sinc(0) = 1 without
 # a 0/0) and avoids cancellation for tiny arguments.
 SINC_SERIES_THRESHOLD = 1e-4
-
-# Re(n) within this of zero counts as purely imaginary detuning when
-# classifying regimes, and |gamma| within this of one as degenerate.
-REGIME_TOL = 1e-12
 
 # Degree of the truncated Taylor series, and the largest scaled norm at which its
 # backward error stays below unit round-off (A. H. Al-Mohy and N. J. Higham,
@@ -51,15 +46,6 @@ _TAYLOR_MAX_X = 1e11
 _POWER_COUNT = 1 << _TAYLOR_DEGREE.bit_length()
 _TAYLOR_ORDERS = np.arange(1.0, _TAYLOR_DEGREE + 1)
 _ROOT_ORDERS = 1.0 / np.arange(2, 8)
-
-
-class Regime(enum.Enum):
-    """Spectral regime of the coupling matrix for imaginary detuning."""
-
-    PT_SYMMETRIC = "pt-symmetric"
-    KATO = "kato"
-    BROKEN = "broken"
-    GENERIC = "generic"
 
 
 def _require_finite(value: complex, name: str) -> None:
@@ -213,16 +199,3 @@ class EffectiveParams:
     @property
     def omega(self) -> complex:
         return dispersion(self.n)
-
-
-def classify_regime(params: EffectiveParams) -> Regime:
-    """Regime tag for the instance; GENERIC when Re(n) is not negligible."""
-    n = params.n
-    if abs(n.real) > REGIME_TOL:
-        return Regime.GENERIC
-    gamma = n.imag
-    if abs(abs(gamma) - 1.0) <= REGIME_TOL:
-        return Regime.KATO
-    if abs(gamma) < 1.0:
-        return Regime.PT_SYMMETRIC
-    return Regime.BROKEN

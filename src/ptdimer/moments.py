@@ -36,10 +36,6 @@ import numpy as np
 
 from .configurations import DimerRealization, raw_indices
 
-# Tolerances used when validating moment matrices in tests and checks.
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DriftAndPump:

@@ -431,15 +431,6 @@ def q_noon(params: EffectiveParams, zeta: float) -> float:
     return _point_columns(params, "q2002", zeta, ("bound", "q2002"))[1]["q2002"]
 
 
-def renormalize(numbers: PhotonNumbers) -> tuple[float, float]:
-    """Relative photon shares (n1, n2) / (n1 + n2), summing to one exactly."""
-    total = numbers.n1 + numbers.n2
-    if not math.isfinite(total) or total <= 0.0:
-        raise ValueError(f"renormalization undefined for total photon number {total!r}")
-    share1 = min(max(numbers.n1 / total, 0.0), 1.0)
-    return share1, 1.0 - share1
-
-
 def asymptotic_shares(gamma: float) -> tuple[float, float]:
     """Limiting renormalized shares (smaller, larger) beyond the degeneracy.
 
@@ -519,7 +510,7 @@ def _curve_columns(
     raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
     columns.update((name, np.where(raw_ok, values, math.nan)) for name, values in raw.items())
     if "share1" in names:
-        columns["share1"] = np.clip(_ratio(n1, n1 + n2), 0.0, 1.0)
+        columns["share1"] = _ratio(n1, n1 + n2)
         columns["share2"] = 1.0 - columns["share1"]
     if "q00" in names:
         columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, n1 * n2)

@@ -26,10 +26,9 @@ from ptdimer.configurations import (
 )
 from ptdimer.core import EffectiveParams, hamiltonian, propagator
 from ptdimer.observables import (
-    PhotonNumbers,
     q_noon,
     q_vacuum,
-    renormalize,
+    sample_curve,
     single_photon_numbers,
     vacuum_moments,
 )
@@ -144,29 +143,23 @@ def test_criterion_3_route_equivalence():
 # 4. asymptotic shares
 
 
-def _sorted_spont_shares(kind: Kind, magnitude: float, zeta: float):
+def _sorted_shares(observable: str, kind: Kind, magnitude: float, zeta: float):
     p = effective_params(preset_realization(kind, magnitude))
-    vm = vacuum_moments(p, zeta, max_magnitude=None)
-    return sorted(renormalize(PhotonNumbers(vm.n1, vm.n2)))
-
-
-def _sorted_single_shares(kind: Kind, magnitude: float, zeta: float):
-    p = effective_params(preset_realization(kind, magnitude))
-    numbers = single_photon_numbers(p, zeta, port=1, max_magnitude=None)
-    return sorted(renormalize(numbers))
+    data = sample_curve(p, observable, [zeta], max_magnitude=None).data
+    return sorted((float(data["share1"][0]), float(data["share2"][0])))
 
 
 def test_criterion_4_broken_regime_shares():
     worst = 0.0
     for kind in GAIN_KINDS:
-        spont = _sorted_spont_shares(kind, 1.2, 20.0)
-        single = _sorted_single_shares(kind, 1.2, 20.0)
+        spont = _sorted_shares("spont", kind, 1.2, 20.0)
+        single = _sorted_shares("single", kind, 1.2, 20.0)
         for shares in (spont, single):
             worst = max(
                 worst, max(abs(a - b) for a, b in zip(shares, ASYMPTOTIC_TARGET))
             )
     for kind in PASSIVE_KINDS:
-        single = _sorted_single_shares(kind, 1.2, 20.0)
+        single = _sorted_shares("single", kind, 1.2, 20.0)
         worst = max(
             worst, max(abs(a - b) for a, b in zip(single, ASYMPTOTIC_TARGET))
         )
@@ -182,8 +175,8 @@ def _worst_degenerate_share_deviation(zeta: float) -> float:
     worst = 0.0
     for kind in GAIN_KINDS:
         for shares in (
-            _sorted_spont_shares(kind, 1.0, zeta),
-            _sorted_single_shares(kind, 1.0, zeta),
+            _sorted_shares("spont", kind, 1.0, zeta),
+            _sorted_shares("single", kind, 1.0, zeta),
         ):
             worst = max(worst, max(abs(s - 0.5) for s in shares))
     return worst

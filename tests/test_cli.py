@@ -250,6 +250,19 @@ def test_sweep_creates_the_output_directory(tmp_path, monkeypatch):
     assert read_csv(tmp_path / "new" / "dir" / "x.csv")[2].shape == (3, 5)
 
 
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--steps", "3", "--out", "f/x.csv"], ["figure", "fig2", "--out", "f/figs"]]
+)
+def test_output_path_under_a_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("not a directory", encoding="utf-8")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["f"]
+    assert (tmp_path / "f").read_text(encoding="utf-8") == "not a directory"
+
+
 def test_cmd_figure_rejects_unknown_id_before_writing(tmp_path):
     with pytest.raises(UsageError, match="unknown figure 'fig9'"):
         cmd_figure("fig9", tmp_path / "figs")

@@ -11,8 +11,6 @@ from scipy.linalg import expm
 
 from ptdimer.core import (
     EffectiveParams,
-    Regime,
-    classify_regime,
     complex_sinc,
     dispersion,
     hamiltonian,
@@ -177,23 +175,3 @@ def test_effective_params_take_only_n_and_n0():
         with pytest.raises(TypeError):
             EffectiveParams(n=-0.5j, n0=1.5 + 0.0j, **{derived: 0.0})
 
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (-0.5j, Regime.PT_SYMMETRIC),
-        (0.99j, Regime.PT_SYMMETRIC),
-        (1.0j, Regime.KATO),
-        (-1.0j, Regime.KATO),
-        (1.2j, Regime.BROKEN),
-        (0.3 - 0.5j, Regime.GENERIC),
-    ],
-)
-def test_classify_regime(n, expected):
-    p = EffectiveParams(n, 1.5 + 0.0j)
-    assert classify_regime(p) is expected
-
-
-def test_classify_regime_tolerates_rounding_at_degeneracy():
-    p = EffectiveParams(complex(0.0, 1.0 + 5e-13), 1.5 + 0.0j)
-    assert classify_regime(p) is Regime.KATO

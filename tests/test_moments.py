@@ -7,14 +7,14 @@ import pytest
 
 from ptdimer.configurations import DimerRealization, Kind, realization_for_gamma
 from ptdimer.moments import (
-    HERMITICITY_TOL,
-    PSD_TOL,
     DriftAndPump,
     drift_and_pump,
     integrate_moments_path,
     moment_ode_rhs,
 )
 
+HERMITICITY_TOL = 1e-10
+PSD_TOL = 1e-10
 LOSSLESS_TOL = 1e-8
 
 

@@ -43,7 +43,6 @@ from ptdimer.observables import (
     noon_two_point,
     q_noon,
     q_vacuum,
-    renormalize,
     sample_curve,
     single_photon_numbers,
     vacuum_moments,
@@ -294,14 +293,6 @@ def test_q_noon_stays_nonpositive_for_passive_kinds():
 
 # ---------------------------------------------------------------------------
 # renormalized shares
-
-
-def test_renormalize_sums_to_one():
-    s1, s2 = renormalize(PhotonNumbers(3.0, 1.0))
-    assert s1 + s2 == 1.0
-    assert np.isclose(s1, 0.75, rtol=1e-15)
-    with pytest.raises(ValueError):
-        renormalize(PhotonNumbers(0.0, 0.0))
 
 
 def test_asymptotic_shares_frozen_values():
@@ -667,10 +658,11 @@ def test_loss_loss_shares_match_passive_loss():
     p_ll = effective_params(r_ll)
     assert p_pl.n == p_ll.n
     assert p_pl.beta != p_ll.beta
-    for zeta in (0.5, 2.0, 6.0):
-        s_pl = renormalize(single_photon_numbers(p_pl, zeta, port=1))
-        s_ll = renormalize(single_photon_numbers(p_ll, zeta, port=1))
-        assert np.allclose(s_pl, s_ll, rtol=0.0, atol=1e-12)
+    zetas = (0.5, 2.0, 6.0)
+    s_pl = sample_curve(p_pl, "single", zetas).data["share1"]
+    s_ll = sample_curve(p_ll, "single", zetas).data["share1"]
+    assert np.allclose(s_pl, s_ll, rtol=0.0, atol=1e-12)
+    for zeta in zetas:
         assert np.isclose(
             q_noon(p_pl, zeta),
             q_noon(p_ll, zeta),
