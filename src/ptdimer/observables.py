@@ -109,40 +109,19 @@ def _breaks_cauchy_schwarz(n1, n2, n12):
 
 @dataclass(frozen=True)
 class PhotonNumbers:
-    """Mean photon numbers in the two guides."""
+    """Mean photon numbers in the two guides: the one-point curve's values; checks nothing."""
 
     n1: float
     n2: float
-
-    def __post_init__(self) -> None:
-        for name in ("n1", "n2"):
-            value = float(getattr(self, name))
-            if _invalid_numbers(value):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-            object.__setattr__(self, name, max(value, 0.0))
 
 
 @dataclass(frozen=True)
 class VacuumMoments:
-    """Spontaneous second moments (n1, n2, n12) generated from vacuum."""
+    """Spontaneous second moments (n1, n2, n12): the one-point curve's values; checks nothing."""
 
     n1: float
     n2: float
     n12: complex
-
-    def __post_init__(self) -> None:
-        numbers = PhotonNumbers(self.n1, self.n2)
-        n12 = complex(self.n12)
-        if not (math.isfinite(n12.real) and math.isfinite(n12.imag)):
-            raise ValueError(f"n12 must be finite, got {n12!r}")
-        if _breaks_cauchy_schwarz(numbers.n1, numbers.n2, n12):
-            raise ValueError(
-                "moments violate the Cauchy-Schwarz bound |n12|^2 <= n1 n2: "
-                f"n1={numbers.n1!r}, n2={numbers.n2!r}, |n12|={abs(n12)!r}"
-            )
-        object.__setattr__(self, "n1", numbers.n1)
-        object.__setattr__(self, "n2", numbers.n2)
-        object.__setattr__(self, "n12", n12)
 
 
 def vacuum_pump_weights(params: EffectiveParams) -> tuple[float, float]:
