@@ -141,7 +141,7 @@ def write_curve_csv(
     ]
     table = np.column_stack([curve.zetas, *curve.data.values()])
     row = ",".join(["%.17g"] * table.shape[1])
-    lines.extend(row % tuple(cells) for cells in (table + 0.0).tolist())
+    lines.append("\n".join([row] * len(table)) % tuple((table + 0.0).ravel().tolist()))
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -30,6 +30,7 @@ is carried through the same products at once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,20 @@ class DriftAndPump:
         object.__setattr__(self, "d", d)
 
 
-def drift_and_pump(realization: DimerRealization) -> DriftAndPump:
-    """Moment-equation coefficients of a physical device, in zeta units."""
-    n1, n2 = raw_indices(realization)
-    g = realization.g
-    m = np.array([[n1 / g, 1.0], [1.0, n2 / g]], dtype=complex)
-    d = np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g])
-    return DriftAndPump(m=m, d=d)
+def drift_and_pump(realizations: DimerRealization | Sequence[DimerRealization]) -> DriftAndPump:
+    """Moment-equation coefficients of a physical device, in zeta units.
+
+    A sequence of devices gives one stack of k, validated once; one device keeps its 2x2 pair.
+    """
+    one = isinstance(realizations, DimerRealization)
+    m, d = [], []
+    for realization in [realizations] if one else realizations:
+        n1, n2 = raw_indices(realization)
+        g = realization.g
+        m.append([[n1 / g, 1.0], [1.0, n2 / g]])
+        d.append(np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g]))
+    m, d = np.array(m, dtype=complex), np.array(d)
+    return DriftAndPump(m=m[0], d=d[0]) if one else DriftAndPump(m=m, d=d)
 
 
 def moment_ode_rhs(state: np.ndarray, dp: DriftAndPump) -> np.ndarray:

@@ -6,20 +6,26 @@ built from the coupling matrix H and the pump weights (C. F. Van Loan, IEEE
 TAC 23(3), 1978; `core` / `observables`), and direct fixed-step integration
 of the second-moment equation of motion from its drift and pump (`moments`).
 This module drives both over a grid of device kinds, inversion strengths and
-distances, and reports the worst disagreement.  Each section runs once over
-all of its devices, as stacks.  The oracle checks read one ``moment_bundles``
-stack, every device's moment bundle, and four launch states from it: vacuum,
-one photon in guide 1, one photon in guide 2, and the two-photon N00N input.
-For each, the full moment matrix <a_i^dag a_j>, cross moment included, is
-compared with the oracle, which integrates every launch state of every device
-in one call on the stacked drift and pump; a launch state is one array
-expression over all devices.  The correlation checks read the production q00
-and q2002 columns, as ``sample_curve`` builds them, from one stack and one
-``_curve_columns`` call per check.  The module also exercises the structural
-identities the transfer matrix must satisfy on its own (determinant,
-composition, the degenerate limit, agreement with ``core.expm``, the Taylor
-scaling-and-squaring exponential, on exp(i zeta H), one zeta per sample), as
-array expressions over the samples: a NaN in one sample fails its check.
+distances, and reports the worst disagreement.  ``run_verification`` builds
+one device table, the reachable grid devices and then the q2002 presets, and
+evaluates the production route once: one ``moment_bundles`` stack of every
+device on the sorted union of the sections' distance marks.  Each section
+computes on that whole stack and indexes its own rows and marks out of the
+results.  A point of a stack is evaluated independently of the others, and
+every device here is imaginary-n, so the stack has one dtype and each point
+equals the same point in a stack of its own, bit for bit.  The oracle checks
+read four launch states from the grid's rows: vacuum, one photon in guide 1,
+one photon in guide 2, and the two-photon N00N input.  For each, the full
+moment matrix <a_i^dag a_j>, cross moment included, is compared with the
+oracle, which integrates every launch state of every grid device in one call
+on their stacked drift and pump; a launch state is one array expression over
+the stack.  The correlation checks read the production q00 and q2002
+columns, as ``sample_curve`` builds them, from one ``_curve_columns`` call
+each.  The module also exercises the structural identities the transfer
+matrix must satisfy on its own (determinant, composition, the degenerate
+limit, agreement with ``core.expm``, the Taylor scaling-and-squaring
+exponential, on exp(i zeta H), one zeta per sample), as array expressions
+over the samples: a NaN in one sample fails its check.
 
 Growing and decaying solutions are compared after dividing out the common
 envelope exp(2 beta zeta), so the reported absolute deviations stay
@@ -42,12 +48,19 @@ from .configurations import (
     raw_indices,
     realization_for_gamma,
 )
-from .core import expm, hamiltonian, propagator
-from .moments import DriftAndPump, drift_and_pump, integrate_moments_path
-from .observables import _curve_columns, launch_moments, moment_bundles, with_envelope
+from .core import EffectiveParams, expm, hamiltonian, propagator
+from .moments import drift_and_pump, integrate_moments_path
+from .observables import (
+    MomentBundle,
+    _curve_columns,
+    launch_moments,
+    moment_bundles,
+    with_envelope,
+)
 
 GRID_GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 GRID_ZETAS = (0.5, 1.0, 2.0, 5.0)
+_Q00_ZETAS = (0.3, 1.7, 4.1)
 ORACLE_STEP = 4e-4
 
 PROPAGATOR_STRUCTURE_TOL = 1e-10
@@ -107,28 +120,24 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _reachable(kind: Kind, magnitudes: tuple[float, ...]):
-    """The devices of ``kind`` at gamma = -|gamma|, then +|gamma|, where the kind reaches them."""
-    for magnitude in magnitudes:
-        for gamma in (-magnitude, magnitude):
-            try:
-                yield realization_for_gamma(kind, gamma)
-            except UnreachableGammaError:
-                pass
+def _reachable(kind: Kind, magnitude: float):
+    """The devices of ``kind`` at gamma = -magnitude, then +magnitude, where reachable."""
+    for gamma in (-magnitude, magnitude):
+        try:
+            yield realization_for_gamma(kind, gamma)
+        except UnreachableGammaError:
+            pass
 
 
 def _structure_checks(report: VerificationReport) -> None:
-    rng = np.random.default_rng(_RNG_SEED)
-    samples = []
-    for index in range(_STRUCTURE_SAMPLES):
-        n = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if index % 4 == 0:
-            n = complex(0.0, n.imag)  # pure inversion, the most used axis
-        if index % 5 == 0:
-            n = complex(n.real, 0.0)  # lossless devices must stay unitary
-        za, zb = rng.uniform(0.05, 2.5, size=2)
-        samples.append((n, za, zb))
-    ns, za, zb = (np.array(column) for column in zip(*samples))
+    # every sample's four uniforms in one draw, each scaled as Generator.uniform scales it
+    u = np.random.default_rng(_RNG_SEED).random((_STRUCTURE_SAMPLES, 4))
+    low, high = np.array([-2.0, -2.0, 0.05, 0.05]), np.array([2.0, 2.0, 2.5, 2.5])
+    re, im, za, zb = (low + (high - low) * u).T
+    index = np.arange(_STRUCTURE_SAMPLES)
+    re[index % 4 == 0] = 0.0  # pure inversion, the most used axis
+    im[index % 5 == 0] = 0.0  # lossless devices must stay unitary
+    ns = re + 1j * im
     ua, ub, uab = (
         np.array([propagator(n, zeta) for n, zeta in zip(ns, zetas)]) for zetas in (za, zb, za + zb)
     )
@@ -175,33 +184,33 @@ _TWO_PHOTON_STATE = ("two-photon mean numbers [{device}]", (0, 1))
 _TWO_PHOTON_KINDS = (Kind.GAIN_LOSS, Kind.GAIN_GAIN)
 
 
-def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
+def _oracle_checks(
+    report: VerificationReport,
+    tolerance: float,
+    devices: list[tuple[Kind, int, DimerRealization]],
+    params: list[EffectiveParams],
+    bundles: MomentBundle,
+) -> None:
     """Compare the full moment matrix of each launch state with the moment oracle.
 
-    Every reachable device gets its moment bundle on the distance marks, all
-    in one ``moment_bundles`` stack, and its oracle paths for every launch
-    state, all from one ``integrate_moments_path`` call on the stacked drift
-    and pump; each launch state is one array expression over the stack.  The
-    two-photon state is checked on the gain-loss and gain-gain devices of the
-    first magnitude.
+    ``devices`` are the first rows of the stack ``bundles``, with their
+    ``params``.  Their oracle paths for every launch state come from one
+    ``integrate_moments_path`` call on their stacked drift and pump; each launch
+    state is one array expression over the whole stack, read on the grid's rows
+    and marks.  The two-photon state is checked on the gain-loss and gain-gain
+    devices of the first magnitude.
     """
-    devices = [
-        (kind, number, realization)
-        for kind in Kind
-        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES)
-        for realization in _reachable(kind, (magnitude,))
-    ]
     launches = _LAUNCH_STATES + (_TWO_PHOTON_STATE,)
     initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in launches])
-    pumps = [drift_and_pump(realization) for _, _, realization in devices]
-    stacked = DriftAndPump(m=[dp.m for dp in pumps], d=[dp.d for dp in pumps])
+    stacked = drift_and_pump([realization for _, _, realization in devices])
     oracle = np.stack(integrate_moments_path(initial, stacked, GRID_ZETAS, step=ORACLE_STEP), 2)
-    params = [effective_params(realization) for _, _, realization in devices]
-    bundles = moment_bundles(params, GRID_ZETAS)
-    frame = np.exp(-2.0 * np.array([p.beta for p in params])[:, None] * bundles.zetas)
+    rows, marks = slice(len(devices)), np.searchsorted(bundles.zetas, GRID_ZETAS)
+    beta = np.array([p.beta for p in params[rows]])
+    frame = np.exp(-2.0 * beta[:, None] * bundles.zetas[marks])
     worst = np.empty((len(devices), len(launches)))  # device-major, as the checks are listed
     for j, (_, ports) in enumerate(launches):
-        gaps = np.abs(with_envelope(bundles, launch_moments(bundles, ports)) - oracle[:, j])
+        moments = with_envelope(bundles, launch_moments(bundles, ports))[rows, marks]
+        gaps = np.abs(moments - oracle[:, j])
         worst[:, j] = np.max(gaps.max(axis=(2, 3)) * frame, axis=1)
     for (kind, number, _), p, deviations in zip(devices, params, worst):
         states = _LAUNCH_STATES
@@ -213,29 +222,31 @@ def _oracle_checks(report: VerificationReport, tolerance: float) -> None:
             report.checks.append(Check(name.format(device=device), float(deviation), tolerance))
 
 
-def _production_column(
-    realizations: list[DimerRealization], observable: str, zetas: tuple[float, ...]
-) -> np.ndarray:
-    """The CSV column ``observable`` of each device (one row each), unguarded, as one stack."""
-    bundles = moment_bundles([effective_params(r) for r in realizations], zetas)
-    return _curve_columns(bundles, observable, np.array([True]))[0][observable]
+def _correlation_checks(
+    report: VerificationReport,
+    tolerance: float,
+    devices: list[tuple[Kind, int, DimerRealization]],
+    bundles: MomentBundle,
+) -> None:
+    """The production q00 and q2002 columns, as ``sample_curve`` builds them, on the stack.
 
-
-def _correlation_checks(report: VerificationReport, tolerance: float) -> None:
+    q00 is read on the pumped ``devices`` (the grid's rows) at _Q00_ZETAS, q2002 on
+    the presets (the rows after them) at zeta 0.
+    """
     # q00 is bounded wherever a guide has gain; NaN (a gap) propagates through
     # np.max and fails the check
     pumped = [
-        realization
-        for kind in Kind
-        for realization in _reachable(kind, GRID_GAMMA_MAGNITUDES)
+        row
+        for row, (_, _, realization) in enumerate(devices)
         if any(n.imag < 0.0 for n in raw_indices(realization))
     ]
-    q = _production_column(pumped, "q00", (0.3, 1.7, 4.1))
+    q = _curve_columns(bundles, "q00", np.array([True]))[0]["q00"]
+    q = q[np.ix_(pumped, np.searchsorted(bundles.zetas, _Q00_ZETAS))]
     bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
     report.checks.append(Check("vacuum correlation bounded in [0, 1]", bound, POSITIVITY_TOL))
 
-    presets = [preset_realization(kind, 0.7) for kind in Kind]
-    q = _production_column(presets, "q2002", (0.0,))
+    q = _curve_columns(bundles, "q2002", np.array([True]))[0]["q2002"]
+    q = q[len(devices) :, np.searchsorted(bundles.zetas, 0.0)]
     anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
     report.checks.append(Check("two-photon correlation anchored at -1", anchor, tolerance))
 
@@ -253,6 +264,16 @@ def run_verification(tolerance: float = 1e-7) -> VerificationReport:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     report = VerificationReport(tolerance=tolerance)
     _structure_checks(report)
-    _oracle_checks(report, tolerance)
-    _correlation_checks(report, tolerance)
+    # the device table: the reachable grid devices, then the presets of the q2002 anchor
+    devices = [
+        (kind, number, realization)
+        for kind in Kind
+        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES)
+        for realization in _reachable(kind, magnitude)
+    ]
+    presets = [preset_realization(kind, 0.7) for kind in Kind]
+    params = [effective_params(r) for r in [realization for *_, realization in devices] + presets]
+    bundles = moment_bundles(params, sorted({*GRID_ZETAS, *_Q00_ZETAS, 0.0}))
+    _oracle_checks(report, tolerance, devices, params, bundles)
+    _correlation_checks(report, tolerance, devices, bundles)
     return report

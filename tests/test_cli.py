@@ -39,8 +39,10 @@ from ptdimer.configurations import (
 from ptdimer.observables import (
     CURVE_COLUMNS,
     ObservableCurve,
+    _curve_columns,
     asymptotic_shares,
     launch_moments,
+    vacuum_pump_weights,
     with_envelope,
 )
 
@@ -466,27 +468,48 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
     assert not any(check.name.endswith("vacuum") for check in report.failures)
 
 
-def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
-    # every oracle check, recomputed from its device's own stack of one against the
-    # same oracle path, gives the report's deviation bit for bit: the stacked section
-    # keeps devices, launch states and check names aligned
+def _recorded_verification(monkeypatch):
+    """One run_verification, with each moment_bundles stack (params, result) and oracle path."""
     verification = ptdimer.verification
     moment_bundles, integrate = verification.moment_bundles, verification.integrate_moments_path
     stacks, paths = [], []
 
     def recorded_bundles(params, zetas):
-        stacks.append(list(params))
-        return moment_bundles(params, zetas)
+        bundles = moment_bundles(params, zetas)
+        stacks.append((list(params), bundles))
+        return bundles
 
     def recorded_paths(*args, **kwargs):
-        result = integrate(*args, **kwargs)
-        paths.extend(result)
-        return result
+        paths.append(integrate(*args, **kwargs))
+        return paths[-1]
 
     monkeypatch.setattr(verification, "moment_bundles", recorded_bundles)
     monkeypatch.setattr(verification, "integrate_moments_path", recorded_paths)
-    report = verification.run_verification(1e-7)
-    devices, oracle = stacks[0], np.stack(paths, 2)  # the oracle section's stack comes first
+    return verification.run_verification(1e-7), stacks, paths
+
+
+def test_verify_evaluates_one_stack_and_one_oracle_call(monkeypatch):
+    # one device table: one moment_bundles stack (the 21 grid devices, then the 5
+    # presets) on the union of the sections' marks, and one oracle call; every
+    # generator is real, so no device's products turn complex in the shared stack
+    report, stacks, paths = _recorded_verification(monkeypatch)
+    assert len(report.checks) == 74 and report.ok
+    ((params, bundles),) = stacks
+    marks = [0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 4.1, 5.0]
+    assert len(params) == 26 and bundles.zetas.tolist() == marks
+    assert {ptdimer.observables._van_loan_generator(p)[0].dtype for p in params} == {
+        np.dtype(np.float64)
+    }
+    assert len(paths) == 1
+
+
+def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
+    # every oracle and correlation check, recomputed from its devices' own stack
+    # against the same oracle path, gives the report's deviation bit for bit: the
+    # shared stack keeps devices, launch states, marks and check names aligned
+    verification = ptdimer.verification
+    report, [(devices, shared)], [path] = _recorded_verification(monkeypatch)
+    oracle = np.stack(path, 2)
     launches = verification._LAUNCH_STATES + (verification._TWO_PHOTON_STATE,)
     suffixes = [name.split("] ")[-1] for name, _ in launches]
     index = -1
@@ -496,12 +519,34 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
         if j == 0:  # each device's checks start with its vacuum launch
             index += 1
         p = devices[index]
-        (bundle,) = moment_bundles((p,), verification.GRID_ZETAS)
+        (bundle,) = verification.moment_bundles((p,), verification.GRID_ZETAS)
         own = with_envelope(bundle, launch_moments(bundle, launches[j][1]))
         frame = np.exp(-2.0 * p.beta * bundle.zetas)
         deviation = float(np.max(np.abs(own - oracle[index, j]).max(axis=(1, 2)) * frame))
         assert deviation.hex() == check.deviation.hex(), check.name
-    assert len(checks) == 66 and index + 1 == len(devices) == 21
+    assert len(checks) == 66 and index + 1 == 21  # the first 21 of the 26 rows
+    deviations = {check.name: check.deviation for check in report.checks}
+
+    # both correlation deviations are exactly 0.0 on this grid, so each section's
+    # column is also compared whole with the shared stack's, on its rows and marks
+    def column(params, observable, zetas):
+        bundles = verification.moment_bundles(params, zetas)
+        return _curve_columns(bundles, observable, np.array([True]))[0][observable]
+
+    rows = [i for i, p in enumerate(devices[:21]) if max(vacuum_pump_weights(p)) > 0.0]
+    q = column([devices[i] for i in rows], "q00", (0.3, 1.7, 4.1))
+    bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
+    assert bound.hex() == deviations["vacuum correlation bounded in [0, 1]"].hex()
+    in_shared = _curve_columns(shared, "q00", np.array([True]))[0]["q00"][rows][:, [1, 4, 6]]
+    assert len(rows) == 12 and in_shared.tobytes() == q.tobytes()
+
+    presets = [effective_params(preset_realization(kind, 0.7)) for kind in Kind]
+    assert devices[21:] == presets
+    q = column(presets, "q2002", (0.0,))
+    anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
+    assert anchor.hex() == deviations["two-photon correlation anchored at -1"].hex()
+    in_shared = _curve_columns(shared, "q2002", np.array([True]))[0]["q2002"][21:, :1]
+    assert in_shared.tobytes() == q.tobytes()
 
 
 def test_verify_detects_a_reversed_device_stack(monkeypatch):

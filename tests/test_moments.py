@@ -108,15 +108,9 @@ def test_partial_final_step_matches_continuation():
     assert np.allclose(direct, fine, rtol=1e-9, atol=1e-12)
 
 
-def stacked(*realizations):
-    """One DriftAndPump carrying the drift and pump of every device given."""
-    pumps = [drift_and_pump(realization) for realization in realizations]
-    return DriftAndPump(m=np.array([dp.m for dp in pumps]), d=np.array([dp.d for dp in pumps]))
-
-
 def test_path_matches_single_shot_bitwise():
     one = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 0.5))
-    stack = stacked(*(realization_for_gamma(kind, -0.5) for kind in Kind))
+    stack = drift_and_pump([realization_for_gamma(kind, -0.5) for kind in Kind])
     initial = np.diag([0.0, 1.0]).astype(complex)
     marks = (0.5, 1.0, 2.0)
     for dp in (one, stack):
@@ -155,7 +149,7 @@ def test_stacked_devices_match_per_device_calls():
     realizations += [realization_for_gamma(Kind.GAIN_GAIN, 0.5)]
     launches = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)])
     marks = (0.0, 0.5, 0.50017, 1.23456, 5.0)
-    path = integrate_moments_path(launches, stacked(*realizations), marks, step=4e-4)
+    path = integrate_moments_path(launches, drift_and_pump(realizations), marks, step=4e-4)
     for zeta, states in zip(marks, path):
         assert states.shape == (len(realizations), 4, 2, 2)
         for realization, device_states in zip(realizations, states):
@@ -236,6 +230,21 @@ def test_drift_and_pump_structure():
     assert dp.d[1, 1] == 0.0
 
 
+def test_drift_and_pump_stacks_a_sequence_of_devices():
+    # a sequence gives one (k, 2, 2) stack whose rows are the devices' own pairs, bit for
+    # bit; one device keeps its 2x2 pair, and a one-device sequence is a stack of one
+    realizations = [realization_for_gamma(kind, -0.5) for kind in Kind]
+    stack = drift_and_pump(realizations)
+    assert stack.m.shape == stack.d.shape == (len(realizations), 2, 2)
+    for realization, m, d in zip(realizations, stack.m, stack.d):
+        one = drift_and_pump(realization)
+        assert one.m.shape == one.d.shape == (2, 2)
+        assert m.tobytes() == one.m.tobytes() and d.tobytes() == one.d.tobytes()
+    assert drift_and_pump(realizations[:1]).m.shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="must both be 2x2"):
+        drift_and_pump([])
+
+
 @pytest.mark.parametrize(
     "m, message",
     [
@@ -249,7 +258,7 @@ def test_drift_and_pump_rejects_bad_drift(m, message):
 
 
 def test_stacked_drift_and_pump_rejects_a_bad_device():
-    good = stacked(*(realization_for_gamma(kind, -0.5) for kind in Kind))
+    good = drift_and_pump([realization_for_gamma(kind, -0.5) for kind in Kind])
     with pytest.raises(ValueError, match="must both be 2x2"):
         DriftAndPump(m=good.m, d=good.d[:-1])
     with pytest.raises(ValueError, match="must both be 2x2"):
