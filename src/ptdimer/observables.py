@@ -54,9 +54,12 @@ where the phase Omega zeta still carries about 8 digits (shares within 1.2e-9
 of 60-digit arithmetic on passive-loss -0.5, 3.3e-7 at 1e10); a longer distance
 is a ValueError.
 
-A single-distance function reads the one-point grid [zeta] of ``sample_curve``'s
-code, the curve's values bit for bit, and raises the first of the curve's gap
-reasons, in ``_GAPS`` order, that reaches the columns it returns.
+One evaluation, ``_evaluate``, turns a stack into the CSV columns and one gap mask
+per reason, each with the stack's device axis.  ``sample_curve`` reads its one
+device's row; a single-distance function reads the one-point grid [zeta], the
+curve's values bit for bit, and raises the first of the curve's gap reasons, in
+``_GAPS`` order, that reaches the columns it returns; ``verify`` reads the ``all``
+columns of its whole device table.
 """
 
 from __future__ import annotations
@@ -165,10 +168,9 @@ class MomentBundle:
 
     Every field but ``h`` (the coupling matrix) is over e^{log_envelope}; the
     growth guard reads the predicted peak magnitude as e^{max(log_envelope, 0)}.
-    A stack of k devices on m points has a leading device axis on every field
-    but ``zetas``: n1, n2, n12 and log_envelope are (k, m), products (k, m, 4)
-    in the stack's common dtype, and h (k, 2, 2); ``bundle[i]`` is device i's.
-    Indexing is defined on stacks only: a one-device bundle raises TypeError.
+    A bundle is a stack of k devices on m points, one device too: every field but
+    ``zetas`` has a leading device axis, so n1, n2, n12 and log_envelope are (k, m),
+    products (k, m, 4) in the stack's common dtype, and h (k, 2, 2).
     """
 
     zetas: np.ndarray
@@ -178,17 +180,6 @@ class MomentBundle:
     products: np.ndarray
     h: np.ndarray
     log_envelope: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.h)
-
-    def __getitem__(self, i) -> MomentBundle:
-        if self.h.ndim != 3:
-            raise TypeError("only a stack of moment bundles can be indexed")
-        return MomentBundle(
-            self.zetas, self.n1[i], self.n2[i], self.n12[i], self.products[i], self.h[i],
-            self.log_envelope[i],
-        )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite products give NaN, a bound gap
@@ -393,8 +384,8 @@ def noon_two_point(
     Interference of the two stimulated paths plus spontaneous background and
     the mixed stimulated-spontaneous terms.
     """
-    bundle, _ = _point_columns(params, "q2002", zeta, ("bound", "guard"), max_magnitude)
-    value = float(with_envelope(bundle, _noon_two_point(bundle), order=2)[0])
+    bundle, _ = _point_columns(params, "noon_n", zeta, ("bound", "guard"), max_magnitude)
+    value = float(with_envelope(bundle, _noon_two_point(bundle), order=2)[0, 0])
     if not math.isfinite(value):
         raise _gap("range", float(bundle.zetas[0]))
     return value
@@ -468,14 +459,20 @@ class ObservableCurve:
 
 
 @np.errstate(all="ignore")  # zero denominators, the float range and bound breaks give NaN gaps
-def _curve_columns(
-    bundle: MomentBundle, observable: str, raw_ok: np.ndarray, ports: tuple[int, ...] | None = None
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The CSV columns of ``observable``, and where the point's moments keep their bounds.
+def _evaluate(devices, observable, zetas, max_magnitude, ports=None):
+    """The bundle stack of ``devices``, each point's log peak magnitude, the CSV columns of
+    ``observable`` and the points each ``_GAPS`` reason marks, in table order, each with a
+    leading device axis: the one gap decision of grids, points and ``verify``.
 
-    Every column is NaN where a bound breaks, raw columns also where not ``raw_ok`` or finite.
-    ``ports`` overrides the observable's input ports.  A stack gives (k, m) columns.
+    Every column is NaN where a bound breaks, raw columns also past the guard or the
+    float range.  ``ports`` overrides the observable's input ports.
     """
+    if max_magnitude is not None and not float(max_magnitude) > 0.0:
+        raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
+    log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
+    bundle = moment_bundles(devices, zetas)
+    exponents = np.maximum(bundle.log_envelope, 0.0)
+    raw_ok = exponents <= log_guard
     names = CURVE_COLUMNS[observable]
     ports = _INPUT_PORTS[observable] if ports is None else ports
     n1, n2 = _photon_numbers(bundle, ports)
@@ -486,30 +483,19 @@ def _curve_columns(
         n1 = np.where(np.isnan(noon1), math.nan, n1)
     frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
     raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
-    raw_ok = raw_ok & np.isfinite(list(raw.values())).all(axis=0)
-    columns.update((name, np.where(raw_ok, values, math.nan)) for name, values in raw.items())
+    in_range = np.isfinite(list(raw.values())).all(axis=0)
+    columns.update(
+        (name, np.where(raw_ok & in_range, values, math.nan)) for name, values in raw.items()
+    )
     if "share1" in names:
         columns["share1"] = _ratio(n1, n1 + n2)
         columns["share2"] = 1.0 - columns["share1"]
     if "q00" in names:
         columns["q00"] = _ratio(np.abs(bundle.n12) ** 2, n1 * n2)
-    return {name: columns[name] for name in names}, ~np.isnan(n1)
-
-
-def _evaluate(params, observable, zetas, max_magnitude, ports=None):
-    """The bundle, each point's log peak magnitude, the columns of ``observable``, and the
-    points each ``_GAPS`` reason marks, in table order: the one gap decision of grid and point."""
-    if max_magnitude is not None and not float(max_magnitude) > 0.0:
-        raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
-    log_guard = math.inf if max_magnitude is None else math.log(max_magnitude)
-    bundle = moment_bundles((params,), zetas)[0]
-    exponents = np.maximum(bundle.log_envelope, 0.0)
-    raw_ok = exponents <= log_guard
-    columns, bounded = _curve_columns(bundle, observable, raw_ok, ports)
-    masks = {"bound": ~bounded, "guard": ~raw_ok}
-    masks["range"] = bounded & raw_ok & np.isnan(columns["n1"])
-    masks.update((name, bounded & np.isnan(columns[name])) for name in _GAPS if name in columns)
-    return bundle, exponents, columns, masks
+    bound = np.isnan(n1)
+    masks = {"bound": bound, "guard": ~raw_ok, "range": ~bound & raw_ok & ~in_range}
+    masks.update((name, ~bound & np.isnan(columns[name])) for name in _GAPS if name in columns)
+    return bundle, exponents, {name: columns[name] for name in names}, masks
 
 
 def _point_columns(params, observable, zeta, reasons, max_magnitude=None, ports=None):
@@ -518,11 +504,13 @@ def _point_columns(params, observable, zeta, reasons, max_magnitude=None, ports=
     Raises the point's first gap, in table order, among ``reasons``: those that
     reach the columns the caller reads.
     """
-    bundle, exponents, columns, masks = _evaluate(params, observable, [zeta], max_magnitude, ports)
+    bundle, exponents, columns, masks = _evaluate(
+        (params,), observable, [zeta], max_magnitude, ports
+    )
     for reason, mask in masks.items():
-        if reason in reasons and mask[0]:
-            raise _gap(reason, float(bundle.zetas[0]), exponents[0], max_magnitude)
-    return bundle, {name: float(values[0]) for name, values in columns.items()}
+        if reason in reasons and mask[0, 0]:
+            raise _gap(reason, float(bundle.zetas[0]), exponents[0, 0], max_magnitude)
+    return bundle, {name: float(values[0, 0]) for name, values in columns.items()}
 
 
 def sample_curve(
@@ -548,14 +536,15 @@ def sample_curve(
         raise ValueError(
             f"unknown observable {observable!r}; choose from {sorted(CURVE_COLUMNS)}"
         )
-    bundle, exponents, columns, masks = _evaluate(params, observable, zetas, max_magnitude)
+    bundle, exponents, columns, masks = _evaluate((params,), observable, zetas, max_magnitude)
     zetas, gaps = bundle.zetas.tolist(), []  # floats repr as the one-point functions print
     for reason, mask in masks.items():
-        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+        edges = np.flatnonzero(np.diff(mask[0], prepend=False, append=False)).tolist()
         for start, stop in zip(edges[::2], edges[1::2]):
-            gap = _gap(reason, zetas[start], exponents[start], max_magnitude)
+            gap = _gap(reason, zetas[start], exponents[0, start], max_magnitude)
             gaps.append((start, stop, str(gap)))
     gaps.sort(key=lambda gap: gap[0])  # stable: a point's reasons stay in table order
-    for values in columns.values():
+    data = {name: values[0] for name, values in columns.items()}
+    for values in data.values():
         values.flags.writeable = False
-    return ObservableCurve(observable=observable, zetas=bundle.zetas, data=columns, gaps=gaps)
+    return ObservableCurve(observable=observable, zetas=bundle.zetas, data=data, gaps=gaps)

@@ -39,9 +39,9 @@ from ptdimer.configurations import (
 from ptdimer.observables import (
     CURVE_COLUMNS,
     ObservableCurve,
-    _curve_columns,
     asymptotic_shares,
     launch_moments,
+    sample_curve,
     vacuum_pump_weights,
     with_envelope,
 )
@@ -422,6 +422,17 @@ def test_verify_exit_code_on_failure(monkeypatch):
     assert main(["verify", "--tolerance", "1e-15"]) == 1
 
 
+def test_an_empty_verification_report_fails(monkeypatch, capsys):
+    # a run that checked nothing neither passes nor crashes its description
+    from ptdimer.verification import VerificationReport
+
+    report = VerificationReport(tolerance=1e-7)
+    assert not report.ok
+    monkeypatch.setattr("ptdimer.cli.run_verification", lambda tolerance: report)
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == "0 checks, route tolerance 1e-07\nno checks ran\n"
+
+
 def test_verify_detects_corrupted_propagator(monkeypatch):
     # flip the coupling sign in the closed-form route only: the moment oracle
     # must notice and name a failing case
@@ -456,8 +467,7 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
             moments = moments * np.array([[1.0, 0.5], [0.5, 1.0]])
         return moments
 
-    for module in (ptdimer.observables, ptdimer.verification):
-        monkeypatch.setattr(module, "moment_bundles", recorded)
+    monkeypatch.setattr(ptdimer.observables, "moment_bundles", recorded)
     monkeypatch.setattr(ptdimer.observables, "_sandwich", halved)
     report = ptdimer.verification.run_verification(1e-7)
     assert not report.ok
@@ -469,32 +479,41 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
 
 
 def _recorded_verification(monkeypatch):
-    """One run_verification, with each moment_bundles stack (params, result) and oracle path."""
-    verification = ptdimer.verification
-    moment_bundles, integrate = verification.moment_bundles, verification.integrate_moments_path
-    stacks, paths = [], []
+    """One run_verification, with each moment_bundles stack (params, result), each
+    _evaluate result and each oracle path."""
+    verification, observables = ptdimer.verification, ptdimer.observables
+    moment_bundles, evaluate = observables.moment_bundles, verification._evaluate
+    integrate = verification.integrate_moments_path
+    stacks, evaluations, paths = [], [], []
 
     def recorded_bundles(params, zetas):
         bundles = moment_bundles(params, zetas)
         stacks.append((list(params), bundles))
         return bundles
 
+    def recorded_evaluations(*args):
+        evaluations.append(evaluate(*args))
+        return evaluations[-1]
+
     def recorded_paths(*args, **kwargs):
         paths.append(integrate(*args, **kwargs))
         return paths[-1]
 
-    monkeypatch.setattr(verification, "moment_bundles", recorded_bundles)
+    monkeypatch.setattr(observables, "moment_bundles", recorded_bundles)
+    monkeypatch.setattr(verification, "_evaluate", recorded_evaluations)
     monkeypatch.setattr(verification, "integrate_moments_path", recorded_paths)
-    return verification.run_verification(1e-7), stacks, paths
+    return verification.run_verification(1e-7), stacks, evaluations, paths
 
 
 def test_verify_evaluates_one_stack_and_one_oracle_call(monkeypatch):
-    # one device table: one moment_bundles stack (the 21 grid devices, then the 5
-    # presets) on the union of the sections' marks, and one oracle call; every
+    # one device table: one evaluation of one moment_bundles stack (the 21 grid devices,
+    # then the 5 presets) on the union of the sections' marks, and one oracle call; every
     # generator is real, so no device's products turn complex in the shared stack
-    report, stacks, paths = _recorded_verification(monkeypatch)
+    report, stacks, evaluations, paths = _recorded_verification(monkeypatch)
     assert len(report.checks) == 74 and report.ok
     ((params, bundles),) = stacks
+    ((evaluated, *_),) = evaluations
+    assert evaluated is bundles
     marks = [0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 4.1, 5.0]
     assert len(params) == 26 and bundles.zetas.tolist() == marks
     assert {ptdimer.observables._van_loan_generator(p)[0].dtype for p in params} == {
@@ -508,7 +527,7 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
     # against the same oracle path, gives the report's deviation bit for bit: the
     # shared stack keeps devices, launch states, marks and check names aligned
     verification = ptdimer.verification
-    report, [(devices, shared)], [path] = _recorded_verification(monkeypatch)
+    report, [(devices, shared)], [(_, _, columns, _)], [path] = _recorded_verification(monkeypatch)
     oracle = np.stack(path, 2)
     launches = verification._LAUNCH_STATES + (verification._TWO_PHOTON_STATE,)
     suffixes = [name.split("] ")[-1] for name, _ in launches]
@@ -519,42 +538,43 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
         if j == 0:  # each device's checks start with its vacuum launch
             index += 1
         p = devices[index]
-        (bundle,) = verification.moment_bundles((p,), verification.GRID_ZETAS)
-        own = with_envelope(bundle, launch_moments(bundle, launches[j][1]))
+        bundle = ptdimer.observables.moment_bundles((p,), verification.GRID_ZETAS)
+        own = with_envelope(bundle, launch_moments(bundle, launches[j][1]))[0]
         frame = np.exp(-2.0 * p.beta * bundle.zetas)
         deviation = float(np.max(np.abs(own - oracle[index, j]).max(axis=(1, 2)) * frame))
         assert deviation.hex() == check.deviation.hex(), check.name
     assert len(checks) == 66 and index + 1 == 21  # the first 21 of the 26 rows
     deviations = {check.name: check.deviation for check in report.checks}
 
-    # both correlation deviations are exactly 0.0 on this grid, so each section's
-    # column is also compared whole with the shared stack's, on its rows and marks
-    def column(params, observable, zetas):
-        bundles = verification.moment_bundles(params, zetas)
-        return _curve_columns(bundles, observable, np.array([True]))[0][observable]
-
+    # both correlation deviations are exactly 0.0 on this grid, so each section's rows
+    # of the shared columns are also compared, byte for byte, with what sample_curve writes
     rows = [i for i, p in enumerate(devices[:21]) if max(vacuum_pump_weights(p)) > 0.0]
-    q = column([devices[i] for i in rows], "q00", (0.3, 1.7, 4.1))
+    q = np.array([sample_curve(devices[i], "q00", (0.3, 1.7, 4.1)).data["q00"] for i in rows])
     bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
     assert bound.hex() == deviations["vacuum correlation bounded in [0, 1]"].hex()
-    in_shared = _curve_columns(shared, "q00", np.array([True]))[0]["q00"][rows][:, [1, 4, 6]]
-    assert len(rows) == 12 and in_shared.tobytes() == q.tobytes()
+    assert shared.zetas[[1, 4, 6]].tolist() == [0.3, 1.7, 4.1]
+    assert len(rows) == 12 and columns["q00"][rows][:, [1, 4, 6]].tobytes() == q.tobytes()
 
     presets = [effective_params(preset_realization(kind, 0.7)) for kind in Kind]
     assert devices[21:] == presets
-    q = column(presets, "q2002", (0.0,))
+    q = np.array([sample_curve(p, "q2002", (0.0,)).data["q2002"] for p in presets])
     anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
     assert anchor.hex() == deviations["two-photon correlation anchored at -1"].hex()
-    in_shared = _curve_columns(shared, "q2002", np.array([True]))[0]["q2002"][21:, :1]
-    assert in_shared.tobytes() == q.tobytes()
+    assert columns["q2002"][21:, :1].tobytes() == q.tobytes()
 
 
 def test_verify_detects_a_reversed_device_stack(monkeypatch):
     # a bundle stack whose rows run against its devices must fail the oracle checks
-    moment_bundles = ptdimer.verification.moment_bundles
-    monkeypatch.setattr(
-        ptdimer.verification, "moment_bundles", lambda *args: moment_bundles(*args)[::-1]
-    )
+    moment_bundles = ptdimer.observables.moment_bundles
+
+    def reversed_stack(*args):
+        b = moment_bundles(*args)
+        return dataclasses.replace(
+            b, n1=b.n1[::-1], n2=b.n2[::-1], n12=b.n12[::-1], products=b.products[::-1],
+            h=b.h[::-1], log_envelope=b.log_envelope[::-1],
+        )  # fmt: skip
+
+    monkeypatch.setattr(ptdimer.observables, "moment_bundles", reversed_stack)
     report = ptdimer.verification.run_verification(1e-7)
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)

@@ -439,7 +439,7 @@ def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
     seen = set()
     for p, guard, zetas in cases:
         curve = sample_curve(p, "all", zetas, max_magnitude=guard)
-        peaks = np.maximum(moment_bundles((p,), zetas)[0].log_envelope, 0.0)
+        peaks = np.maximum(moment_bundles((p,), zetas).log_envelope[0], 0.0)
         raw_ok = peaks <= (math.inf if guard is None else math.log(guard))
         covered = _gap_runs(curve)
         bound = covered["bound"]
@@ -462,14 +462,12 @@ def test_gaps_are_maximal_runs_of_one_reason(monkeypatch):
 
     # holes in one column: each stretch of NaN cells is its own run
     holes = np.arange(grid.size) % 7 < 3
-    curve_columns = observables._curve_columns
+    coincidence = observables._noon_two_point
 
-    def holed(*args):
-        columns, bounded = curve_columns(*args)
-        columns["q2002"] = np.where(holes, math.nan, columns["q2002"])
-        return columns, bounded
+    def holed(bundle):
+        return np.where(holes, math.nan, coincidence(bundle))
 
-    monkeypatch.setattr(observables, "_curve_columns", holed)
+    monkeypatch.setattr(observables, "_noon_two_point", holed)
     curve = sample_curve(params_for(Kind.GAIN_LOSS, -0.5), "all", grid)
     assert np.array_equal(_gap_runs(curve)["q2002"], holes)
     assert sum(note.startswith("N00N") for *_, note in curve.gaps) == math.ceil(grid.size / 7)
@@ -748,9 +746,9 @@ def test_decayed_field_transfer_matches_propagator():
     # about 1e-44; they must keep their relative accuracy, not turn into round-off
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
-    bundle = moment_bundles((p,), grid)[0]
+    bundle = moment_bundles((p,), grid)
     for port in (0, 1):  # no pump: the launch moments are the stimulated ones alone
-        launched = with_envelope(bundle, launch_moments(bundle, (port,)))
+        launched = with_envelope(bundle, launch_moments(bundle, (port,)))[0]
         for zeta, moments in zip(grid, launched):
             u = propagator(p.n, zeta)[:, port]
             want = math.exp(2.0 * p.beta * zeta) * np.outer(u.conj(), u)
@@ -897,11 +895,11 @@ def test_detuned_guides_match_the_moment_oracle(imag):
             d=np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g]),
         )
         device = EffectiveParams((n1 - n2) / (2 * g), (n1 + n2) / (2 * g))
-        bundle = moment_bundles((device,), marks)[0]
+        bundle = moment_bundles((device,), marks)
         assert bundle.products.dtype == np.complex128
         oracle = np.stack(integrate_moments_path(initial, dp, marks, step=4e-4), axis=1)
         for ports, path in zip(launches, oracle):
-            ours = with_envelope(bundle, launch_moments(bundle, ports))
+            ours = with_envelope(bundle, launch_moments(bundle, ports))[0]
             for mine, reference in zip(ours, path):
                 scale = np.abs(reference).max()
                 assert np.abs(mine - reference).max() <= 1e-7 * scale, (nr2, ports)
@@ -929,7 +927,7 @@ def _bundle_and_stack(p, grid):
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(observables, "expm", lambda a, t: seen.append(a[0, 0]) or expm(a, t))
-        bundle = moment_bundles((p,), grid)[0]
+        bundle = moment_bundles((p,), grid)
     return bundle, seen[0]
 
 
@@ -965,11 +963,13 @@ def test_moment_bundles_equal_one_device_bundles_bitwise():
     devices.insert(2, EffectiveParams(0.3 - 0.5j, 0.2j))
     grid = np.array([0.0, 0.5, 1.7, 20.0])
     bundles = moment_bundles(devices, grid)
-    assert len(bundles) == len(devices)
-    for params, bundle in zip(devices, bundles):
-        (alone,) = moment_bundles((params,), grid)
+    assert len(bundles.h) == len(devices)
+    for i, params in enumerate(devices):
+        alone = moment_bundles((params,), grid)
         for field in dataclasses.fields(alone):
-            mine, reference = getattr(bundle, field.name), getattr(alone, field.name)
+            mine, reference = getattr(bundles, field.name), getattr(alone, field.name)
+            if field.name != "zetas":
+                mine, reference = mine[i], reference[0]
             assert np.array_equal(mine, reference), field.name
             assert field.name == "products" or mine.dtype == reference.dtype, field.name
     assert bundles.products.dtype == np.complex128
@@ -979,30 +979,36 @@ def test_moment_bundles_reject_an_empty_stack_and_index_only_stacks():
     grid = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="at least one device"):
         moment_bundles((), grid)
-    (alone,) = moment_bundles((params_for(Kind.GAIN_LOSS, -0.5),), grid)
-    with pytest.raises(TypeError, match="only a stack"):
-        alone[0]
+    # a bundle is always a stack: one device keeps the leading device axis
+    alone = moment_bundles((params_for(Kind.GAIN_LOSS, -0.5),), grid)
+    for field in dataclasses.fields(alone):
+        if field.name != "zetas":
+            assert len(getattr(alone, field.name)) == 1, field.name
 
 
 def test_stacked_columns_equal_stacks_of_one_bitwise():
-    # launch_moments and _curve_columns broadcast over the device axis: each row of a
-    # stack's result is that device's stack-of-one result, byte for byte, gaps included
+    # launch_moments and _evaluate broadcast over the device axis: each row of a stack's
+    # result is that device's stack-of-one result, byte for byte: its exponents, its
+    # columns and every gap mask, under the guard and without one
     devices = [params_for(kind, -1.2) for kind in Kind] + [params_for(Kind.GAIN_GAIN, 3.0)]
     grid = np.array([0.0, 0.5, 3.0, 40.0, 300.0])  # 0/0 ratios, the guard, the float range
     stack = moment_bundles(devices, grid)
-    raw_ok = stack.log_envelope <= math.log(GROWTH_GUARD_MAX)
     launches = ((), (0,), (1,), (0, 1))
     stacked = [launch_moments(stack, ports) for ports in launches]
-    curves = {name: observables._curve_columns(stack, name, raw_ok) for name in CURVE_COLUMNS}
     for i, params in enumerate(devices):
-        (alone,) = moment_bundles((params,), grid)
+        alone = moment_bundles((params,), grid)
         for ports, moments in zip(launches, stacked):
-            assert moments[i].tobytes() == launch_moments(alone, ports).tobytes(), (i, ports)
-        for name, (columns, bounded) in curves.items():
-            own, own_bounded = observables._curve_columns(alone, name, raw_ok[i])
-            assert bounded[i].tobytes() == own_bounded.tobytes(), (i, name)
-            for column, values in own.items():
-                assert columns[column][i].tobytes() == values.tobytes(), (i, name, column)
+            assert moments[i].tobytes() == launch_moments(alone, ports)[0].tobytes(), (i, ports)
+    for name in CURVE_COLUMNS:
+        for guard in (GROWTH_GUARD_MAX, None):
+            _, exponents, columns, masks = observables._evaluate(devices, name, grid, guard)
+            for i, params in enumerate(devices):
+                _, own_exponents, *own = observables._evaluate((params,), name, grid, guard)
+                assert exponents[i].tobytes() == own_exponents[0].tobytes(), (i, name, guard)
+                for table, own_table in zip((columns, masks), own):
+                    assert list(table) == list(own_table)
+                    for key, values in own_table.items():
+                        assert table[key][i].tobytes() == values[0].tobytes(), (i, name, guard, key)
 
 
 def test_presets_exponentiate_real_stacks(tmp_path, monkeypatch):
