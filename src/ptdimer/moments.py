@@ -104,7 +104,7 @@ def _generator(dp: DriftAndPump) -> np.ndarray:
 
 def _rk4_step_map(gen: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of dw/dzeta = G w, applied to the basis vectors."""
-    w = np.eye(5, dtype=complex)
+    w = np.eye(gen.shape[-1], dtype=complex)
     k1 = gen @ w
     k2 = gen @ (w + 0.5 * h * k1)
     k3 = gen @ (w + 0.5 * h * k2)
@@ -160,8 +160,9 @@ def integrate_moments_path(
         raise ValueError("distances must be strictly increasing")
 
     gen = _generator(dp)
+    size = gen.shape[-1]  # of the augmented state (vec N, 1)
     n0 = _validate_initial(initial)
-    states = n0.reshape(-1, 4)
+    states = n0.reshape(-1, size - 1)
     # one column (vec N, 1) per initial matrix
     w0 = np.vstack((states.T, np.ones(len(states))))
     splits = [_split_steps(mark, step) for mark in marks]
@@ -172,7 +173,7 @@ def integrate_moments_path(
         while 2 ** len(squarings) <= splits[-1][0]:
             squarings.append(squarings[-1] @ squarings[-1])
         for mark, (count, rem) in zip(marks, splits):
-            power = np.broadcast_to(np.eye(5, dtype=complex), gen.shape) if count == 0 else None
+            power = np.broadcast_to(np.eye(size, dtype=complex), gen.shape) if count == 0 else None
             for bit, square in enumerate(squarings):
                 if count >> bit & 1:
                     power = square if power is None else power @ square
@@ -183,5 +184,5 @@ def integrate_moments_path(
                 raise OverflowError(
                     f"moment integration left the representable range near zeta={mark}"
                 )
-            out.append(np.swapaxes(w[..., :4, :], -1, -2).reshape(gen.shape[:-2] + n0.shape))
+            out.append(np.swapaxes(w[..., :-1, :], -1, -2).reshape(gen.shape[:-2] + n0.shape))
     return out

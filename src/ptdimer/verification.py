@@ -15,11 +15,11 @@ and its columns and indexes its own rows and marks out of the results.  A
 point of a stack is evaluated independently of the others, and every device
 here is imaginary-n, so the stack has one dtype and each point equals the same
 point in a stack of its own, bit for bit.  The oracle checks read four launch
-states from the grid's rows: vacuum, one photon in guide 1, one photon in
+states on every grid device: vacuum, one photon in guide 1, one photon in
 guide 2, and the two-photon N00N input.  For each, the full moment matrix
 <a_i^dag a_j>, cross moment included, is compared with the oracle, which
 integrates every launch state of every grid device in one call on their
-stacked drift and pump; a launch state is one array expression over the stack.
+stacked drift and pump; every deviation is one array expression over the stack.
 The correlation checks read the production q00 and q2002 columns of the same
 evaluation.  The module also exercises the structural identities the transfer
 matrix must satisfy on its own (determinant, composition, the degenerate
@@ -96,6 +96,8 @@ class VerificationReport:
 
     def worst(self) -> Check:
         """The check farthest past its limit; a non-finite deviation is the farthest."""
+        if not self.checks:
+            raise ValueError("no checks ran")
         return max(
             self.checks, key=lambda c: (not math.isfinite(c.deviation), c.deviation / c.limit)
         )
@@ -175,53 +177,43 @@ _LAUNCH_STATES = (
     ("moment oracle [{device}] vacuum", ()),
     ("moment oracle [{device}] photon in guide 1", (0,)),
     ("moment oracle [{device}] photon in guide 2", (1,)),
+    ("two-photon mean numbers [{device}]", (0, 1)),
 )
-_TWO_PHOTON_STATE = ("two-photon mean numbers [{device}]", (0, 1))
-_TWO_PHOTON_KINDS = (Kind.GAIN_LOSS, Kind.GAIN_GAIN)
 
 
 def _oracle_checks(
     report: VerificationReport,
     tolerance: float,
-    devices: list[tuple[Kind, int, DimerRealization]],
+    devices: list[DimerRealization],
     params: list[EffectiveParams],
     bundles: MomentBundle,
 ) -> None:
-    """Compare the full moment matrix of each launch state with the moment oracle.
+    """Compare the full moment matrix of every launch state with the moment oracle.
 
     ``devices`` are the first rows of the stack ``bundles``, with their
     ``params``.  Their oracle paths for every launch state come from one
-    ``integrate_moments_path`` call on their stacked drift and pump; each launch
-    state is one array expression over the whole stack, read on the grid's rows
-    and marks.  The two-photon state is checked on the gain-loss and gain-gain
-    devices of the first magnitude.
+    ``integrate_moments_path`` call on their stacked drift and pump, and the
+    worst deviation of each device and launch state is one array expression
+    over (device, mark, launch state), read on the grid's rows and marks.
     """
-    launches = _LAUNCH_STATES + (_TWO_PHOTON_STATE,)
-    initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in launches])
-    stacked = drift_and_pump([realization for _, _, realization in devices])
-    oracle = np.stack(integrate_moments_path(initial, stacked, GRID_ZETAS, step=ORACLE_STEP), 2)
+    initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in _LAUNCH_STATES])
+    paths = integrate_moments_path(initial, drift_and_pump(devices), GRID_ZETAS, step=ORACLE_STEP)
     rows, marks = slice(len(devices)), np.searchsorted(bundles.zetas, GRID_ZETAS)
+    launched = np.stack([launch_moments(bundles, ports) for _, ports in _LAUNCH_STATES], 2)
+    gaps = np.abs(with_envelope(bundles, launched)[rows, marks] - np.stack(paths, 1))
     beta = np.array([p.beta for p in params[rows]])
     frame = np.exp(-2.0 * beta[:, None] * bundles.zetas[marks])
-    worst = np.empty((len(devices), len(launches)))  # device-major, as the checks are listed
-    for j, (_, ports) in enumerate(launches):
-        moments = with_envelope(bundles, launch_moments(bundles, ports))[rows, marks]
-        gaps = np.abs(moments - oracle[:, j])
-        worst[:, j] = np.max(gaps.max(axis=(2, 3)) * frame, axis=1)
-    for (kind, number, _), p, deviations in zip(devices, params, worst):
-        states = _LAUNCH_STATES
-        if number == 0 and kind in _TWO_PHOTON_KINDS:
-            states += (_TWO_PHOTON_STATE,)
-        device = f"{kind.value} gamma={p.gamma:+.2f}"
-        # every device's two-photon deviation is computed, but only listed ones are read
-        for (name, _), deviation in zip(states, deviations[: len(states)]):
+    worst = np.max(gaps.max(axis=(3, 4)) * frame[..., None], axis=1)  # (device, launch state)
+    for realization, p, deviations in zip(devices, params, worst):
+        device = f"{realization.kind.value} gamma={p.gamma:+.2f}"
+        for (name, _), deviation in zip(_LAUNCH_STATES, deviations):
             report.checks.append(Check(name.format(device=device), float(deviation), tolerance))
 
 
 def _correlation_checks(
     report: VerificationReport,
     tolerance: float,
-    devices: list[tuple[Kind, int, DimerRealization]],
+    devices: list[DimerRealization],
     zetas: np.ndarray,
     columns: dict[str, np.ndarray],
 ) -> None:
@@ -232,11 +224,7 @@ def _correlation_checks(
     """
     # q00 is bounded wherever a guide has gain; NaN (a gap) propagates through
     # np.max and fails the check
-    pumped = [
-        row
-        for row, (_, _, realization) in enumerate(devices)
-        if any(n.imag < 0.0 for n in raw_indices(realization))
-    ]
+    pumped = [row for row, r in enumerate(devices) if any(n.imag < 0.0 for n in raw_indices(r))]
     q = columns["q00"][np.ix_(pumped, np.searchsorted(zetas, _Q00_ZETAS))]
     bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
     report.checks.append(Check("vacuum correlation bounded in [0, 1]", bound, POSITIVITY_TOL))
@@ -260,14 +248,9 @@ def run_verification(tolerance: float = 1e-7) -> VerificationReport:
     report = VerificationReport(tolerance=tolerance)
     _structure_checks(report)
     # the device table: the reachable grid devices, then the presets of the q2002 anchor
-    devices = [
-        (kind, number, realization)
-        for kind in Kind
-        for number, magnitude in enumerate(GRID_GAMMA_MAGNITUDES)
-        for realization in _reachable(kind, magnitude)
-    ]
+    devices = [r for kind in Kind for m in GRID_GAMMA_MAGNITUDES for r in _reachable(kind, m)]
     presets = [preset_realization(kind, 0.7) for kind in Kind]
-    params = [effective_params(r) for r in [realization for *_, realization in devices] + presets]
+    params = [effective_params(r) for r in devices + presets]
     marks = sorted({*GRID_ZETAS, *_Q00_ZETAS, 0.0})
     bundles, _, columns, _ = _evaluate(params, "all", marks, None)
     _oracle_checks(report, tolerance, devices, params, bundles)

@@ -1,10 +1,14 @@
 """Tests for the brute-force moment integrator (the verification route)."""
 
+import ast
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptdimer.moments
 from ptdimer.configurations import DimerRealization, Kind, realization_for_gamma
 from ptdimer.moments import (
     DriftAndPump,
@@ -279,3 +283,23 @@ def test_drift_and_pump_rejects_negative_pump():
             m=np.array([[1.5, 1.0], [1.0, 1.5]], dtype=complex),
             d=np.diag([-0.1, 0.0]),
         )
+
+
+def _package_imports(module_name):
+    """The package modules that ``ptdimer/<module_name>.py`` imports, each as ``.name``."""
+    source = Path(ptdimer.moments.__file__).with_name(f"{module_name}.py")
+    names = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative or absolute, resolved in the package
+            module = importlib.util.resolve_name("." * node.level + (node.module or ""), "ptdimer")
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return {"." + name.split(".")[1] for name in names if name.startswith("ptdimer.")}
+
+
+def test_the_oracle_and_the_production_route_import_nothing_of_each_other():
+    # the oracle is built from the drift and pump alone, and the closed-form route
+    # never reaches for the oracle, so each can catch the other's defects
+    assert _package_imports("moments") == {".configurations"}
+    assert not any(".moments" in _package_imports(name) for name in ("core", "observables"))
