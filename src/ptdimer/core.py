@@ -41,9 +41,7 @@ _TAYLOR_THETA = 3.539666349
 # Ceiling of the scaled distance x = t ||a|| 2**-s whatever the powers: x^30 / 30!
 # stays finite up to about 2.3e11, so a nearly nilpotent a of large norm is squared too.
 _TAYLOR_MAX_X = 1e11
-# Powers b^0 .. b^31 formed by doubling, of which the series uses b^0 .. b^30; the
-# divisors 1 .. 30 of its coefficients; 1/p for the norm estimates d_p, p = 2 .. 7
-_POWER_COUNT = 1 << _TAYLOR_DEGREE.bit_length()
+# The divisors 1 .. 30 of the series' coefficients; 1/p for the norm estimates d_p, p = 2 .. 7
 _TAYLOR_ORDERS = np.arange(1.0, _TAYLOR_DEGREE + 1)
 _ROOT_ORDERS = 1.0 / np.arange(2, 8)
 
@@ -117,15 +115,15 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     # a power of two at or above the 1-norm, so that a / norm is exact
     norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
     b = a / norm[..., None, None]
-    powers = np.empty(a.shape[:-2] + (_POWER_COUNT, size, size), dtype=b.dtype)
+    powers = np.empty(a.shape[:-2] + (_TAYLOR_DEGREE + 1, size, size), dtype=b.dtype)
     powers[..., 0, :, :] = np.eye(size)
     powers[..., 1, :, :] = b
     k = 2
-    while k < _POWER_COUNT:  # b^0 .. b^(k-1) times b^k give b^k .. b^(2k-1)
+    while k <= _TAYLOR_DEGREE:  # b^0 .. b^(top-k) times b^k give b^k .. b^top, top < 2k
+        top = min(2 * k - 1, _TAYLOR_DEGREE)
         step = powers[..., k - 1 : k, :, :] @ b[..., None, :, :]
-        np.matmul(powers[..., :k, :, :], step, out=powers[..., k : 2 * k, :, :])
+        np.matmul(powers[..., : top - k + 1, :, :], step, out=powers[..., k : top + 1, :, :])
         k *= 2
-    powers = powers[..., : _TAYLOR_DEGREE + 1, :, :]
     d = _norm1(powers[..., 2:8, :, :]) ** _ROOT_ORDERS
     alpha = np.maximum(d[..., :-1], d[..., 1:]).min(axis=-1)
     rate = norm * np.maximum(alpha / _TAYLOR_THETA, 1.0 / _TAYLOR_MAX_X)
@@ -156,10 +154,10 @@ def propagator(n: complex, zeta: float) -> np.ndarray:
     U is unitary exactly when n is real.
     """
     n = complex(n)
-    _require_finite(n, "n")
+    omega = dispersion(n)  # checks n
     if not math.isfinite(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be finite and non-negative, got {zeta!r}")
-    x = dispersion(n) * zeta
+    x = omega * zeta
     c = cmath.cos(x)
     s = 1j * zeta * complex_sinc(x)
     return np.array([[c + s * n, s], [s, c - s * n]], dtype=complex)

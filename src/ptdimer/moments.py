@@ -143,8 +143,8 @@ def integrate_moments_path(
     for a stack of devices and initial.shape for one, so one call serves every
     launch state of every device (a stacked state agrees with its own single
     call to round-off).  Each mark is integrated from zero on its own: the
-    full steps as the product of the squarings P, P^2, P^4, ... of the step
-    map at the set bits of their count, least significant first as in
+    full steps as the identity times the squarings P, P^2, P^4, ... of the
+    step map at the set bits of their count, least significant first as in
     ``np.linalg.matrix_power``, then the last step shortened when the mark is
     not a multiple of ``step``.  The squarings are formed once, up to the
     largest mark, so every returned state equals the call with that mark
@@ -173,10 +173,10 @@ def integrate_moments_path(
         while 2 ** len(squarings) <= splits[-1][0]:
             squarings.append(squarings[-1] @ squarings[-1])
         for mark, (count, rem) in zip(marks, splits):
-            power = np.broadcast_to(np.eye(size, dtype=complex), gen.shape) if count == 0 else None
+            power = np.broadcast_to(np.eye(size, dtype=complex), gen.shape)
             for bit, square in enumerate(squarings):
                 if count >> bit & 1:
-                    power = square if power is None else power @ square
+                    power = power @ square
             w = power @ w0
             if rem > 0.0:
                 w = _rk4_step_map(gen, rem) @ w

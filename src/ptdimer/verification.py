@@ -7,10 +7,11 @@ TAC 23(3), 1978; `core` / `observables`), and direct fixed-step integration
 of the second-moment equation of motion from its drift and pump (`moments`).
 This module drives both over a grid of device kinds, inversion strengths and
 distances, and reports the worst disagreement.  ``run_verification`` builds
-one device table, the reachable grid devices and then the q2002 presets, and
-evaluates the production route once: one ``_evaluate`` of the ``all`` columns,
-as ``sample_curve`` writes them, on one stack of every device on the sorted
-union of the sections' distance marks.  Each section computes on that stack
+one device table, the grid devices (the ``sweep`` presets at -|gamma| and
++|gamma|, each once) and then the q2002 presets, and evaluates the production
+route once: one ``_evaluate`` of the ``all`` columns, as ``sample_curve``
+writes them, on one stack of every device on the sorted union of the
+sections' distance marks.  Each section computes on that stack
 and its columns and indexes its own rows and marks out of the results.  A
 point of a stack is evaluated independently of the others, and every device
 here is imaginary-n, so the stack has one dtype and each point equals the same
@@ -42,11 +43,9 @@ import numpy as np
 from .configurations import (
     DimerRealization,
     Kind,
-    UnreachableGammaError,
     effective_params,
     preset_realization,
     raw_indices,
-    realization_for_gamma,
 )
 from .core import EffectiveParams, expm, hamiltonian, propagator
 from .moments import drift_and_pump, integrate_moments_path
@@ -118,15 +117,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _reachable(kind: Kind, magnitude: float):
-    """The devices of ``kind`` at gamma = -magnitude, then +magnitude, where reachable."""
-    for gamma in (-magnitude, magnitude):
-        try:
-            yield realization_for_gamma(kind, gamma)
-        except UnreachableGammaError:
-            pass
-
-
 def _structure_checks(report: VerificationReport) -> None:
     # every sample's four uniforms in one draw, each scaled as Generator.uniform scales it
     u = np.random.default_rng(_RNG_SEED).random((_STRUCTURE_SAMPLES, 4))
@@ -143,8 +133,7 @@ def _structure_checks(report: VerificationReport) -> None:
     # every deviation is a NaN-propagating np.max: a NaN from one sample fails its check
     scale = np.maximum(np.maximum(np.abs(ua).max(axis=(1, 2)), np.abs(ub).max(axis=(1, 2))), 1.0)
     det = ua[:, 0, 0] * ua[:, 1, 1] - ua[:, 0, 1] * ua[:, 1, 0]
-    # left an np.float64, unlike the others: the repr of its report triple keeps numpy's form
-    worst_det = np.max(np.abs(det - 1.0) / scale**2)
+    worst_det = float(np.max(np.abs(det - 1.0) / scale**2))
     worst_semi = float(np.max(np.abs(ub @ ua - uab).max(axis=(1, 2)) / scale**2))
     worst_expm = float(np.max(np.abs(ua - reference).max(axis=(1, 2)) / scale))
     lossless = ua[ns.imag == 0.0]
@@ -247,8 +236,10 @@ def run_verification(tolerance: float = 1e-7) -> VerificationReport:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     report = VerificationReport(tolerance=tolerance)
     _structure_checks(report)
-    # the device table: the reachable grid devices, then the presets of the q2002 anchor
-    devices = [r for kind in Kind for m in GRID_GAMMA_MAGNITUDES for r in _reachable(kind, m)]
+    # the device table: the presets at -m, then +m, each once (a kind that cannot reach
+    # +m reads it as -m), then the presets of the q2002 anchor
+    signed = [s * m for m in GRID_GAMMA_MAGNITUDES for s in (-1.0, 1.0)]
+    devices = list(dict.fromkeys(preset_realization(kind, g) for kind in Kind for g in signed))
     presets = [preset_realization(kind, 0.7) for kind in Kind]
     params = [effective_params(r) for r in devices + presets]
     marks = sorted({*GRID_ZETAS, *_Q00_ZETAS, 0.0})

@@ -364,8 +364,9 @@ def test_verify_passes_at_default_tolerance(capsys):
 
 
 def test_verify_checks_every_reachable_device():
-    # the oracle checks cover exactly the devices realization_for_gamma builds
-    reachable = set()
+    # the oracle checks cover exactly the devices realization_for_gamma builds, in kind
+    # order and -m before +m, and every deviation is a plain float
+    reachable = []
     for kind in Kind:
         for magnitude in ptdimer.verification.GRID_GAMMA_MAGNITUDES:
             for gamma in (-magnitude, magnitude):
@@ -373,16 +374,17 @@ def test_verify_checks_every_reachable_device():
                     realization_for_gamma(kind, gamma)
                 except UnreachableGammaError:
                     continue
-                reachable.add((kind.value, gamma))
+                reachable.append((kind.value, gamma))
     report = ptdimer.verification.run_verification(1e-7)
-    labels = re.compile(r"moment oracle \[(\S+) gamma=([-+][0-9.]+)\]")
-    checked = {
+    labels = re.compile(r"moment oracle \[(\S+) gamma=([-+][0-9.]+)\] vacuum")
+    checked = [
         (match[1], float(match[2]))
         for match in map(labels.match, (check.name for check in report.checks))
         if match
-    }
+    ]
     assert checked == reachable
     assert len(report.checks) == 92
+    assert all(type(check.deviation) is float for check in report.checks)
 
 
 def test_verify_fails_at_impossible_tolerance():
@@ -620,6 +622,92 @@ def test_verify_reports_a_route_that_breaks_a_bound(monkeypatch, capsys):
     failed = int(lines[-1].removesuffix(" checks failed"))
     assert lines[0].startswith("92 checks") and lines[-2].startswith("worst: ")
     assert failed == sum(line.startswith("FAIL ") for line in lines) > 0
+
+
+def _plant_in_columns(edit):
+    """A defect in the columns of verify's one ``_evaluate``: ``edit(bundle, columns)``."""
+
+    def plant(monkeypatch):
+        evaluate = ptdimer.verification._evaluate
+
+        def edited(*args):
+            bundle, exponents, columns, masks = evaluate(*args)
+            with np.errstate(all="ignore"):
+                edit(bundle, columns)
+            return bundle, exponents, columns, masks
+
+        monkeypatch.setattr(ptdimer.verification, "_evaluate", edited)
+
+    return plant
+
+
+def _plant_in_coincidence(term):
+    """A defect in the N00N coincidence moment: ``_noon_two_point`` minus ``term(bundle)``."""
+
+    def plant(monkeypatch):
+        noon_two_point = ptdimer.observables._noon_two_point
+
+        def edited(bundle):
+            with np.errstate(all="ignore"):
+                return noon_two_point(bundle) - term(bundle)
+
+        monkeypatch.setattr(ptdimer.observables, "_noon_two_point", edited)
+
+    return plant
+
+
+def _swap_pump_weights(monkeypatch):
+    weights = ptdimer.observables.vacuum_pump_weights
+    monkeypatch.setattr(ptdimer.observables, "vacuum_pump_weights", lambda p: weights(p)[::-1])
+
+
+def _missed(item):
+    reason = f"verify passes this defect until ROADMAP item {item}"
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        pytest.param(_swap_pump_weights, id="pump-weights-swapped"),
+        pytest.param(
+            _plant_in_columns(lambda b, c: c.update(q2002=c["q2002"] + 1.0)),
+            id="q2002-without-its-minus-1",
+        ),
+        pytest.param(
+            _plant_in_coincidence(lambda b: 2.0 * np.abs(b.products[..., 1]) ** 2),
+            id="noon-pair-term-4-to-2",
+            marks=_missed(5),
+        ),
+        pytest.param(
+            _plant_in_coincidence(lambda b: np.abs(b.n12) ** 2),
+            id="noon-without-n12-squared",
+            marks=_missed(5),
+        ),
+        pytest.param(
+            _plant_in_columns(lambda b, c: c.update(q00=np.abs(b.n12) ** 1.999 / (b.n1 * b.n2))),
+            id="q00-exponent-1.999",
+            marks=_missed(4),
+        ),
+        pytest.param(
+            _plant_in_columns(
+                lambda b, c: c.update(share1=b.n2 / (b.n1 + b.n2), share2=b.n1 / (b.n1 + b.n2))
+            ),
+            id="share1-from-n2",
+            marks=_missed(4),
+        ),
+        pytest.param(
+            _plant_in_columns(lambda b, c: c.update(n12_im=-c["n12_im"])),
+            id="n12_im-sign-flipped",
+            marks=_missed(4),
+        ),
+    ],
+)
+def test_verify_fails_on_each_planted_defect(monkeypatch, plant):
+    # the mutation survey: each value defect that no other test plants, planted at a
+    # function boundary; a strict xfail is a defect verify still passes
+    plant(monkeypatch)
+    assert not ptdimer.verification.run_verification().ok
 
 
 def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):
