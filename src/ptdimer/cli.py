@@ -208,10 +208,8 @@ def cmd_figure(figure_id: str, out_dir: Path, steps: int = DEFAULT_FIGURE_STEPS)
     return 0
 
 
-def cmd_verify(tolerance: float) -> int:
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise UsageError(f"tolerance must be positive, got {tolerance}")
-    report = run_verification(tolerance)
+def cmd_verify() -> int:
+    report = run_verification()
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -287,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--out", type=Path, default=Path("figures"))
     figure.add_argument("--steps", type=int, default=DEFAULT_FIGURE_STEPS)
 
-    verify = sub.add_parser(
-        "verify", help="cross-check the closed form against the moment integrator"
-    )
-    verify.add_argument("--tolerance", type=float, default=1e-7)
+    sub.add_parser("verify", help="cross-check the closed form against the moment integrator")
     return parser
 
 
@@ -301,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(_resolve_runspec(args))
         if args.command == "figure":
             return cmd_figure(args.figure, args.out, args.steps)
-        return cmd_verify(args.tolerance)
+        return cmd_verify()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -125,12 +125,13 @@ def test_criterion_2_degeneracy_continuity():
 
 def test_criterion_3_route_equivalence():
     t0 = time.perf_counter()
-    report = run_verification(ROUTE_TOL)
+    report = run_verification()
     elapsed = time.perf_counter() - t0
     oracle_checks = [c for c in report.checks if c.name.startswith("moment oracle")]
     worst = max(c.deviation for c in oracle_checks)
     # 5 kinds with reachable signs at 3 magnitudes gives 21 devices x 3 states
     ok = report.ok and len(oracle_checks) == 63 and elapsed < 30.0
+    ok = ok and all(c.limit == ROUTE_TOL for c in oracle_checks)
     assert _line(
         "criterion 3: closed-form route matches moment integrator on full grid",
         ok,

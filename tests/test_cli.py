@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +359,7 @@ def test_only_help_leaves_main_by_system_exit(capsys):
 
 
 def test_verify_passes_at_default_tolerance(capsys):
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     assert report.ok
     assert len(report.failures) == 0
 
@@ -375,7 +376,7 @@ def test_verify_checks_every_reachable_device():
                 except UnreachableGammaError:
                     continue
                 reachable.append((kind.value, gamma))
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     labels = re.compile(r"moment oracle \[(\S+) gamma=([-+][0-9.]+)\] vacuum")
     checked = [
         (match[1], float(match[2]))
@@ -385,10 +386,14 @@ def test_verify_checks_every_reachable_device():
     assert checked == reachable
     assert len(report.checks) == 92
     assert all(type(check.deviation) is float for check in report.checks)
+    # verify's limit table, pinned: a change that loosens any limit has to edit this line
+    limits = Counter(check.limit for check in report.checks)
+    assert limits == {1e-7: 85, 1e-10: 3, 1e-12: 2, 1e-9: 1, 1e-4: 1}
 
 
-def test_verify_fails_at_impossible_tolerance():
-    report = ptdimer.verification.run_verification(1e-15)
+def test_verify_fails_at_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(ptdimer.verification, "ROUTE_TOL", 1e-15)
+    report = ptdimer.verification.run_verification()
     assert not report.ok
     text = report.describe()
     assert "FAIL" in text
@@ -397,7 +402,7 @@ def test_verify_fails_at_impossible_tolerance():
 def test_verify_report_ranks_a_nan_deviation_worst():
     from ptdimer.verification import Check, VerificationReport
 
-    report = VerificationReport(tolerance=1e-7)
+    report = VerificationReport()
     report.checks += [Check("a", 1e-9, 1e-7), Check("b", math.nan, 1e-7), Check("c", 5e-8, 1e-7)]
     assert report.worst().name == "b"
     lines = report.describe().splitlines()
@@ -406,33 +411,31 @@ def test_verify_report_ranks_a_nan_deviation_worst():
 
 
 def test_verify_exit_codes(capsys):
-    assert main(["verify", "--tolerance", "-1"]) == 2
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
-def test_run_verification_rejects_a_bad_tolerance(tolerance):
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        ptdimer.verification.run_verification(tolerance)
+    # the route tolerance is a constant, so verify takes no options
+    assert main(["verify", "--tolerance", "1e-7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--tolerance" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_exit_code_on_failure(monkeypatch):
     from ptdimer.verification import Check, VerificationReport
 
-    report = VerificationReport(tolerance=1e-15)
+    report = VerificationReport()
     report.checks.append(Check("stub case", 1.0, 1e-15))
-    monkeypatch.setattr("ptdimer.cli.run_verification", lambda tolerance: report)
-    assert main(["verify", "--tolerance", "1e-15"]) == 1
+    monkeypatch.setattr("ptdimer.cli.run_verification", lambda: report)
+    assert main(["verify"]) == 1
 
 
 def test_an_empty_verification_report_fails(monkeypatch, capsys):
     # a run that checked nothing neither passes nor crashes its description
     from ptdimer.verification import VerificationReport
 
-    report = VerificationReport(tolerance=1e-7)
+    report = VerificationReport()
     assert not report.ok
     with pytest.raises(ValueError, match="no checks ran"):
         report.worst()
-    monkeypatch.setattr("ptdimer.cli.run_verification", lambda tolerance: report)
+    monkeypatch.setattr("ptdimer.cli.run_verification", lambda: report)
     assert main(["verify"]) == 1
     assert capsys.readouterr().out == "0 checks, route tolerance 1e-07\nno checks ran\n"
 
@@ -446,7 +449,7 @@ def test_verify_detects_corrupted_propagator(monkeypatch):
         return ptdimer.core.hamiltonian(n) * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
     monkeypatch.setattr(ptdimer.observables, "hamiltonian", skewed)
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)
 
@@ -473,7 +476,7 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
 
     monkeypatch.setattr(ptdimer.observables, "moment_bundles", recorded)
     monkeypatch.setattr(ptdimer.observables, "_sandwich", halved)
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     assert not report.ok
     assert any(
         "moment oracle" in check.name or "two-photon mean numbers" in check.name
@@ -506,7 +509,7 @@ def _recorded_verification(monkeypatch):
     monkeypatch.setattr(observables, "moment_bundles", recorded_bundles)
     monkeypatch.setattr(verification, "_evaluate", recorded_evaluations)
     monkeypatch.setattr(verification, "integrate_moments_path", recorded_paths)
-    return verification.run_verification(1e-7), stacks, evaluations, paths
+    return verification.run_verification(), stacks, evaluations, paths
 
 
 def test_verify_evaluates_one_stack_and_one_oracle_call(monkeypatch):
@@ -579,7 +582,7 @@ def test_verify_detects_a_reversed_device_stack(monkeypatch):
         )  # fmt: skip
 
     monkeypatch.setattr(ptdimer.observables, "moment_bundles", reversed_stack)
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     assert not report.ok
     assert any("moment oracle" in check.name for check in report.failures)
 
@@ -594,7 +597,7 @@ def test_verify_fails_on_a_nan_structure_sample(monkeypatch, capsys):
         return propagator(n, zeta) * (math.nan if len(calls) == 5 else 1.0)
 
     monkeypatch.setattr(ptdimer.verification, "propagator", fifth_is_nan)
-    report = ptdimer.verification.run_verification(1e-7)
+    report = ptdimer.verification.run_verification()
     assert {check.name for check in report.failures} == {
         "propagator determinant (scaled)",
         "propagator composition (scaled)",
