@@ -19,12 +19,12 @@ The coefficients do not depend on zeta, so one RK4 step of length h is a
 fixed affine map of vec(N).  On the augmented state w = (vec N, 1) it is the
 5x5 matrix P(h) = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, obtained by
 applying the four RK4 stages to the basis vectors, and n steps are the
-matrix power P(h)^n, formed by repeated squaring (Higham, Functions of
-Matrices, SIAM 2008, ch. 4).  That is the same RK4 solution, with the same
-truncation error, in O(log n) matrix products instead of n steps.  The
-squarings P, P^2, P^4, ... are formed once per call and shared by every
-distance mark, and a stack of devices (drift and pump of shape (k, 2, 2))
-is carried through the same products at once.
+matrix power P(h)^n, formed by repeated squaring in ``np.linalg.matrix_power``
+(Higham, Functions of Matrices, SIAM 2008, ch. 4).  That is the same RK4
+solution, with the same truncation error, in O(log n) matrix products instead
+of n steps.  Each distance mark raises P to its own power, and a stack of
+devices (drift and pump of shape (k, 2, 2)) is carried through the same
+products at once.
 """
 
 from __future__ import annotations
@@ -143,13 +143,11 @@ def integrate_moments_path(
     for a stack of devices and initial.shape for one, so one call serves every
     launch state of every device (a stacked state agrees with its own single
     call to round-off).  Each mark is integrated from zero on its own: the
-    full steps as the identity times the squarings P, P^2, P^4, ... of the
-    step map at the set bits of their count, least significant first as in
-    ``np.linalg.matrix_power``, then the last step shortened when the mark is
-    not a multiple of ``step``.  The squarings are formed once, up to the
-    largest mark, so every returned state equals the call with that mark
-    alone, bit for bit.  Raises OverflowError if a state leaves the
-    representable range (runaway amplification).
+    full steps as ``np.linalg.matrix_power`` of the step map P to their count,
+    then the last step shortened when the mark is not a multiple of ``step``.
+    So every returned state equals the call with that mark alone, bit for
+    bit, and a mark of 0 returns ``initial`` exactly.  Raises OverflowError if
+    a state leaves the representable range (runaway amplification).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -169,15 +167,9 @@ def integrate_moments_path(
     out: list[np.ndarray] = []
     # runaway growth surfaces as the OverflowError below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        squarings = [_rk4_step_map(gen, step)]  # P^(2^i)
-        while 2 ** len(squarings) <= splits[-1][0]:
-            squarings.append(squarings[-1] @ squarings[-1])
+        step_map = _rk4_step_map(gen, step)
         for mark, (count, rem) in zip(marks, splits):
-            power = np.broadcast_to(np.eye(size, dtype=complex), gen.shape)
-            for bit, square in enumerate(squarings):
-                if count >> bit & 1:
-                    power = power @ square
-            w = power @ w0
+            w = np.linalg.matrix_power(step_map, count) @ w0
             if rem > 0.0:
                 w = _rk4_step_map(gen, rem) @ w
             if not np.all(np.isfinite(w.view(float))):

@@ -487,7 +487,7 @@ def test_verify_detects_corrupted_stimulated_cross_products(monkeypatch):
 
 def _recorded_verification(monkeypatch):
     """One run_verification, with each moment_bundles stack (params, result), each
-    _evaluate result and each oracle path."""
+    _evaluate result and each oracle call (marks, path)."""
     verification, observables = ptdimer.verification, ptdimer.observables
     moment_bundles, evaluate = observables.moment_bundles, verification._evaluate
     integrate = verification.integrate_moments_path
@@ -503,8 +503,8 @@ def _recorded_verification(monkeypatch):
         return evaluations[-1]
 
     def recorded_paths(*args, **kwargs):
-        paths.append(integrate(*args, **kwargs))
-        return paths[-1]
+        paths.append((list(args[2]), integrate(*args, **kwargs)))
+        return paths[-1][1]
 
     monkeypatch.setattr(observables, "moment_bundles", recorded_bundles)
     monkeypatch.setattr(verification, "_evaluate", recorded_evaluations)
@@ -513,20 +513,21 @@ def _recorded_verification(monkeypatch):
 
 
 def test_verify_evaluates_one_stack_and_one_oracle_call(monkeypatch):
-    # one device table: one evaluation of one moment_bundles stack (the 21 grid devices,
-    # then the 5 presets) on the union of the sections' marks, and one oracle call; every
-    # generator is real, so no device's products turn complex in the shared stack
+    # one device table: one evaluation of one moment_bundles stack (the 21 grid devices)
+    # on the grid's marks, and one oracle call on the same marks; every generator is real,
+    # so no device's products turn complex in the shared stack
     report, stacks, evaluations, paths = _recorded_verification(monkeypatch)
     assert len(report.checks) == 92 and report.ok
     ((params, bundles),) = stacks
     ((evaluated, *_),) = evaluations
     assert evaluated is bundles
-    marks = [0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 4.1, 5.0]
-    assert len(params) == 26 and bundles.zetas.tolist() == marks
+    marks = [0.0, 0.5, 1.0, 2.0, 5.0]
+    assert len(params) == 21 and bundles.zetas.tolist() == marks
     assert {ptdimer.observables._van_loan_generator(p)[0].dtype for p in params} == {
         np.dtype(np.float64)
     }
-    assert len(paths) == 1
+    ((oracle_marks, path),) = paths
+    assert oracle_marks == marks and len(path) == len(marks)
 
 
 def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
@@ -534,7 +535,9 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
     # against the same oracle path, gives the report's deviation bit for bit: the
     # shared stack keeps devices, launch states, marks and check names aligned
     verification = ptdimer.verification
-    report, [(devices, shared)], [(_, _, columns, _)], [path] = _recorded_verification(monkeypatch)
+    report, [(devices, shared)], [(_, _, columns, _)], [(_, path)] = _recorded_verification(
+        monkeypatch
+    )
     oracle = np.stack(path, 2)
     launches = verification._LAUNCH_STATES
     suffixes = [name.split("] ")[-1] for name, _ in launches]
@@ -550,24 +553,23 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
         frame = np.exp(-2.0 * p.beta * bundle.zetas)
         deviation = float(np.max(np.abs(own - oracle[index, j]).max(axis=(1, 2)) * frame))
         assert deviation.hex() == check.deviation.hex(), check.name
-    assert len(checks) == 84 and index + 1 == 21  # the first 21 of the 26 rows
+    assert len(checks) == 84 and index + 1 == len(devices) == 21  # every row is an oracle row
     deviations = {check.name: check.deviation for check in report.checks}
 
     # both correlation deviations are exactly 0.0 on this grid, so each section's rows
     # of the shared columns are also compared, byte for byte, with what sample_curve writes
-    rows = [i for i, p in enumerate(devices[:21]) if max(vacuum_pump_weights(p)) > 0.0]
-    q = np.array([sample_curve(devices[i], "q00", (0.3, 1.7, 4.1)).data["q00"] for i in rows])
+    rows = [i for i, p in enumerate(devices) if max(vacuum_pump_weights(p)) > 0.0]
+    past_zero = verification.GRID_ZETAS[1:]
+    q = np.array([sample_curve(devices[i], "q00", past_zero).data["q00"] for i in rows])
     bound = float(np.max(np.maximum(-q, q - 1.0), initial=0.0))
     assert bound.hex() == deviations["vacuum correlation bounded in [0, 1]"].hex()
-    assert shared.zetas[[1, 4, 6]].tolist() == [0.3, 1.7, 4.1]
-    assert len(rows) == 12 and columns["q00"][rows][:, [1, 4, 6]].tobytes() == q.tobytes()
+    assert shared.zetas[1:].tolist() == list(past_zero)
+    assert q.size == 48 and columns["q00"][rows][:, 1:].tobytes() == q.tobytes()
 
-    presets = [effective_params(preset_realization(kind, 0.7)) for kind in Kind]
-    assert devices[21:] == presets
-    q = np.array([sample_curve(p, "q2002", (0.0,)).data["q2002"] for p in presets])
+    q = np.array([sample_curve(p, "q2002", (0.0,)).data["q2002"] for p in devices])
     anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
     assert anchor.hex() == deviations["two-photon correlation anchored at -1"].hex()
-    assert columns["q2002"][21:, :1].tobytes() == q.tobytes()
+    assert q.size == 21 and columns["q2002"][:, :1].tobytes() == q.tobytes()
 
 
 def test_verify_detects_a_reversed_device_stack(monkeypatch):

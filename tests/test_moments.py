@@ -113,15 +113,19 @@ def test_partial_final_step_matches_continuation():
 
 
 def test_path_matches_single_shot_bitwise():
+    # mark 0 returns the launch states themselves, bit for bit: verify reads the oracle there
     one = drift_and_pump(realization_for_gamma(Kind.GAIN_GAIN, 0.5))
     stack = drift_and_pump([realization_for_gamma(kind, -0.5) for kind in Kind])
-    initial = np.diag([0.0, 1.0]).astype(complex)
-    marks = (0.5, 1.0, 2.0)
+    initial = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)])
+    initial = initial.astype(complex)
+    marks = (0.0, 0.5, 1.0, 2.0)
     for dp in (one, stack):
         path = integrate_moments_path(initial, dp, marks, step=1e-3)
+        shape = dp.m.shape[:-2] + initial.shape
+        assert path[0].tobytes() == np.broadcast_to(initial, shape).tobytes()
         for zeta, state in zip(marks, path):
             single = integrate_moments_path(initial, dp, (zeta,), step=1e-3)[0]
-            assert state.shape == dp.m.shape
+            assert state.shape == shape
             assert np.array_equal(state, single)
 
 
