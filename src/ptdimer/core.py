@@ -51,12 +51,21 @@ def _require_finite(value: complex, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def complex_sinc(x: complex) -> complex:
-    """sin(x)/x for complex x, switching to a 4-term series near x = 0."""
-    if abs(x) < SINC_SERIES_THRESHOLD:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    return cmath.sin(x) / x
+def _finite_indices(n) -> np.ndarray:
+    """n as a complex array, every element finite."""
+    n = np.asarray(n, dtype=complex)
+    if not np.isfinite(n).all():
+        raise ValueError(f"n must be finite, got {n.tolist()!r}")
+    return n
+
+
+@np.errstate(all="ignore")  # the branch not taken may divide by zero or overflow
+def complex_sinc(x):
+    """sin(x)/x for complex x, by a 4-term series near x = 0: a scalar, or elementwise."""
+    x = np.asarray(x, dtype=complex)
+    x2 = x * x
+    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+    return np.where(np.abs(x) < SINC_SERIES_THRESHOLD, series, np.sin(x) / x)[()]
 
 
 def dispersion(n: complex) -> complex:
@@ -75,11 +84,15 @@ def dispersion(n: complex) -> complex:
     return w
 
 
-def hamiltonian(n: complex) -> np.ndarray:
-    """Traceless coupling matrix [[n, 1], [1, -n]] in coupling-length units."""
-    n = complex(n)
-    _require_finite(n, "n")
-    return np.array([[n, 1.0], [1.0, -n]], dtype=complex)
+def hamiltonian(n) -> np.ndarray:
+    """Traceless coupling matrix [[n, 1], [1, -n]] in coupling-length units.
+
+    An array n of shape (...) gives (..., 2, 2), a scalar one 2x2.
+    """
+    n = _finite_indices(n)
+    h = np.ones(n.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = n, -n
+    return h
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -105,13 +118,19 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     s > j in one product, and the results are scattered back once at the end.
     The stack's leading axes broadcast against t's: a stack (k, 1, n, n) on a
     grid of m distances gives (k, m, n, n), every matrix on every distance.
+    A complex stack goes through its real form [[Re a, -Im a], [Im a, Re a]],
+    whose exponential is the real form of exp(t a): numpy's stacked complex
+    matmul costs several times the real one on small matrices.
     Raises OverflowError where no finite squaring count exists (non-finite
     entries or t, or a 1-norm past the float range); a square that leaves the
     float range comes out non-finite, without a warning.
     """
     a = np.asarray(a)
-    t = np.asarray(t, dtype=float)
     size = a.shape[-1]
+    if np.iscomplexobj(a):
+        e = expm(np.block([[a.real, -a.imag], [a.imag, a.real]]), t)
+        return e[..., :size, :size] + 1j * e[..., size:, :size]
+    t = np.asarray(t, dtype=float)
     # a power of two at or above the 1-norm, so that a / norm is exact
     norm = np.ldexp(1.0, np.frexp(_norm1(a))[1])
     b = a / norm[..., None, None]
@@ -147,20 +166,29 @@ def expm(a: np.ndarray, t=1.0) -> np.ndarray:
     return out.reshape(x.shape + (size, size))
 
 
-def propagator(n: complex, zeta: float) -> np.ndarray:
+@np.errstate(all="ignore")  # an entry past the float range is the OverflowError below
+def propagator(n, zeta) -> np.ndarray:
     """Transfer matrix U(zeta) = cos(Omega zeta) I + i H zeta sinc(Omega zeta).
 
-    Requires zeta >= 0.  det U = 1 for every n because H is traceless, and
-    U is unitary exactly when n is real.
+    n and zeta broadcast against each other: arrays of shape (...) give (..., 2, 2),
+    scalars one 2x2, and each element equals the same point evaluated alone, bit for
+    bit.  cos and sinc are even in Omega, so either square root serves.
+    Requires every zeta finite and >= 0 and every n finite (ValueError); raises
+    OverflowError where an entry leaves the float range.  det U = 1 for every n
+    because H is traceless, and U is unitary exactly when n is real.
     """
-    n = complex(n)
-    omega = dispersion(n)  # checks n
-    if not math.isfinite(zeta) or zeta < 0.0:
-        raise ValueError(f"zeta must be finite and non-negative, got {zeta!r}")
-    x = omega * zeta
-    c = cmath.cos(x)
+    n, zeta = _finite_indices(n), np.asarray(zeta, dtype=float)
+    if not (np.isfinite(zeta) & (zeta >= 0.0)).all():
+        raise ValueError(f"zeta must be finite and non-negative, got {zeta.tolist()!r}")
+    x = np.sqrt(1.0 + n * n) * zeta
+    c = np.cos(x)
     s = 1j * zeta * complex_sinc(x)
-    return np.array([[c + s * n, s], [s, c - s * n]], dtype=complex)
+    sn = s * n
+    u = np.empty(sn.shape + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1] = c + sn, s, s, c - sn
+    if not np.isfinite(u).all():
+        raise OverflowError("transfer matrix leaves the floating-point range")
+    return u
 
 
 @dataclass(frozen=True)

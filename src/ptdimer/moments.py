@@ -19,16 +19,18 @@ The coefficients do not depend on zeta, so one RK4 step of length h is a
 fixed affine map of vec(N).  On the augmented state w = (vec N, 1) it is the
 5x5 matrix P(h) = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, obtained by
 applying the four RK4 stages to the basis vectors, and n steps are the
-matrix power P(h)^n, formed by repeated squaring in ``np.linalg.matrix_power``
-(Higham, Functions of Matrices, SIAM 2008, ch. 4).  That is the same RK4
-solution, with the same truncation error, in O(log n) matrix products instead
-of n steps.  Each distance mark raises P to its own power, and a stack of
-devices (drift and pump of shape (k, 2, 2)) is carried through the same
-products at once.
+matrix power P(h)^n by repeated squaring (Higham, Functions of Matrices, SIAM
+2008, ch. 4).  That is the same RK4 solution, with the same truncation error,
+in O(log n) matrix products instead of n steps.  The squarings P, P^2, P^4, ...
+are formed once per call, and each distance mark multiplies those of its
+count's set bits in the order of ``np.linalg.matrix_power``, so a mark's power
+is matrix_power's, bit for bit.  A stack of devices (drift and pump of shape
+(k, 2, 2)) is carried through the same products at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -52,8 +54,8 @@ class DriftAndPump:
     def __post_init__(self) -> None:
         m = np.ascontiguousarray(self.m, dtype=complex)
         d = np.ascontiguousarray(self.d, dtype=float)
-        if m.shape != d.shape or m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
-            raise ValueError("drift and pump must both be 2x2, or stacks of the same shape")
+        if m.shape != d.shape or m.shape[-2:] != (2, 2) or m.ndim not in (2, 3) or not m.size:
+            raise ValueError("drift and pump must both be 2x2, or non-empty stacks of one shape")
         if not (np.all(np.isfinite(m.view(float))) and np.all(np.isfinite(d))):
             raise ValueError("drift and pump must be finite")
         rates = np.diagonal(d, axis1=-2, axis2=-1)
@@ -69,13 +71,14 @@ def drift_and_pump(realizations: DimerRealization | Sequence[DimerRealization]) 
     A sequence of devices gives one stack of k, validated once; one device keeps its 2x2 pair.
     """
     one = isinstance(realizations, DimerRealization)
-    m, d = [], []
-    for realization in [realizations] if one else realizations:
-        n1, n2 = raw_indices(realization)
-        g = realization.g
-        m.append([[n1 / g, 1.0], [1.0, n2 / g]])
-        d.append(np.diag([2.0 * max(0.0, -n1.imag) / g, 2.0 * max(0.0, -n2.imag) / g]))
-    m, d = np.array(m, dtype=complex), np.array(d)
+    devices = [realizations] if one else realizations
+    indices = np.array([raw_indices(r) for r in devices], dtype=complex).reshape(-1, 2)
+    g = np.array([r.g for r in devices])[:, None]
+    m = np.ones((len(devices), 2, 2), dtype=complex)
+    m.real[:, [0, 1], [0, 1]] = indices.real / g  # n_j / g, as Python divides by a float
+    m.imag[:, [0, 1], [0, 1]] = indices.imag / g
+    d = np.zeros(m.shape)
+    d[:, [0, 1], [0, 1]] = 2.0 * np.maximum(0.0, -indices.imag) / g
     return DriftAndPump(m=m[0], d=d[0]) if one else DriftAndPump(m=m, d=d)
 
 
@@ -88,17 +91,18 @@ def moment_ode_rhs(state: np.ndarray, dp: DriftAndPump) -> np.ndarray:
 def _generator(dp: DriftAndPump) -> np.ndarray:
     """The RHS as a 5x5 linear map G on the augmented state (vec N, 1), one per device.
 
-    Built by probing moment_ode_rhs with basis matrices so the integrator
-    cannot drift out of sync with the public right-hand side.
+    Built by probing moment_ode_rhs once, on the zero matrix and the four basis
+    matrices stacked, so the integrator cannot drift out of sync with the public
+    right-hand side.
     """
     stack = dp.m.shape[:-2]
+    probes = np.zeros((5, 4), dtype=complex)
+    probes[1:] = np.eye(4)
+    rhs = moment_ode_rhs(probes.reshape((5,) + (1,) * len(stack) + (2, 2)), dp)
+    rhs = rhs.reshape((5,) + stack + (4,))
     gen = np.zeros(stack + (5, 5), dtype=complex)
-    const = moment_ode_rhs(np.zeros((2, 2), dtype=complex), dp).reshape(stack + (4,))
-    gen[..., :4, 4] = const
-    for k in range(4):
-        basis = np.zeros((2, 2), dtype=complex)
-        basis.flat[k] = 1.0
-        gen[..., :4, k] = moment_ode_rhs(basis, dp).reshape(stack + (4,)) - const
+    gen[..., :4, 4] = rhs[0]
+    gen[..., :4, :4] = np.moveaxis(rhs[1:] - rhs[0], 0, -1)
     return gen
 
 
@@ -110,6 +114,26 @@ def _rk4_step_map(gen: np.ndarray, h: float) -> np.ndarray:
     k3 = gen @ (w + 0.5 * h * k2)
     k4 = gen @ (w + h * k3)
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _matrix_powers(p: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """p to each of ``counts``, each as ``np.linalg.matrix_power`` forms it, bit for bit.
+
+    The squarings p, p^2, p^4, ... are formed once for all counts.  Each count
+    multiplies the squarings of its set bits from the lowest up, as matrix_power
+    does, except a count of 3, which matrix_power forms as (p p) p.
+    """
+    squarings = [p]
+    for _ in range(max(counts).bit_length() - 1):
+        squarings.append(squarings[-1] @ squarings[-1])
+    identity = np.broadcast_to(np.eye(p.shape[-1], dtype=p.dtype), p.shape)
+    powers = []
+    for count in counts:
+        factors = [square for bit, square in enumerate(squarings) if count >> bit & 1]
+        if count == 3:
+            factors.reverse()
+        powers.append(functools.reduce(np.matmul, factors) if factors else identity)
+    return powers
 
 
 def _validate_initial(initial: np.ndarray) -> np.ndarray:
@@ -143,7 +167,8 @@ def integrate_moments_path(
     for a stack of devices and initial.shape for one, so one call serves every
     launch state of every device (a stacked state agrees with its own single
     call to round-off).  Each mark is integrated from zero on its own: the
-    full steps as ``np.linalg.matrix_power`` of the step map P to their count,
+    full steps as the step map P to their count, bit for bit as
+    ``np.linalg.matrix_power`` forms it (from squarings shared by the marks),
     then the last step shortened when the mark is not a multiple of ``step``.
     So every returned state equals the call with that mark alone, bit for
     bit, and a mark of 0 returns ``initial`` exactly.  Raises OverflowError if
@@ -168,8 +193,9 @@ def integrate_moments_path(
     # runaway growth surfaces as the OverflowError below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         step_map = _rk4_step_map(gen, step)
-        for mark, (count, rem) in zip(marks, splits):
-            w = np.linalg.matrix_power(step_map, count) @ w0
+        powers = _matrix_powers(step_map, [count for count, _ in splits])
+        for mark, (count, rem), power in zip(marks, splits, powers):
+            w = power @ w0
             if rem > 0.0:
                 w = _rk4_step_map(gen, rem) @ w
             if not np.all(np.isfinite(w.view(float))):

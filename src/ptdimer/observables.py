@@ -194,26 +194,32 @@ def _sandwich(weights: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return sum(weights[..., k, None, None] * term for k, term in enumerate(terms))
 
 
-def _van_loan_generator(params: EffectiveParams):
-    """The shifted block generator G - c I of one device, its pump W, H, and the shift c."""
-    w = np.diag(vacuum_pump_weights(params))
-    h = hamiltonian(params.n)
-    omega2 = 1.0 + params.n * params.n  # real for imaginary n: then so is the block
-    b = -(omega2.real if omega2.imag == 0.0 else omega2)  # B = [[0, b], [1, 0]]
+def _van_loan_generators(devices):
+    """The shifted block generators G - c I of a stack of devices, their pumps W, H and shifts c.
+
+    The generators take the stack's common dtype: real where every 1 + n^2 is real.
+    """
+    beta = np.array([params.beta for params in devices])
+    weights = np.array([vacuum_pump_weights(params) for params in devices])
+    w = np.zeros((len(devices), 2, 2))
+    w[:, [0, 1], [0, 1]] = weights
+    h = hamiltonian(np.array([params.n for params in devices]))
+    omega2 = np.array([1.0 + params.n * params.n for params in devices])
+    b = -(omega2.real if not omega2.imag.any() else omega2)  # B = [[0, b], [1, 0]]
     # G - c I for the growth rate c = 2 beta - d of the moments: L - c I is conj(B) (x) I
     # + I (x) B + d I with d = -2 |Im Omega|, and the corner e = -c, but where c < 0 the
     # corner stays 0: unpumped (W = 0), the unused integral column stays finite; pumped,
     # the moments settle to a steady state, so nothing is shifted (d = 2 beta, c = 0)
-    d = -2.0 * abs(params.omega.imag)
-    if 2.0 * params.beta < d and w.any():
-        d = 2.0 * params.beta
-    rate = 2.0 * params.beta - d
-    bc, e = b.conjugate(), -max(rate, 0.0)
-    generator = np.array(
-        [[d, b, bc, 0, 1], [1, d, 0, bc, 0], [1, 0, d, b, 0], [0, 1, 1, d, 0], [0, 0, 0, 0, e]],
-        dtype=type(b),
-    )
-    return generator, w, h, rate
+    d = -2.0 * np.abs([params.omega.imag for params in devices])
+    d = np.where((2.0 * beta < d) & weights.any(axis=1), 2.0 * beta, d)
+    rate = 2.0 * beta - d
+    generators = np.zeros((len(devices), 5, 5), dtype=b.dtype)
+    generators[:, [0, 1, 2, 3], [0, 1, 2, 3]] = d[:, None]
+    generators[:, [0, 2], [1, 3]] = b[:, None]
+    generators[:, [0, 1], [2, 3]] = b.conj()[:, None]
+    generators[:, [1, 2, 3, 3, 0], [0, 0, 1, 2, 4]] = 1.0
+    generators[:, 4, 4] = -np.maximum(rate, 0.0)
+    return generators, w, h, rate
 
 
 def moment_bundles(devices, zetas: np.ndarray) -> MomentBundle:
@@ -228,19 +234,18 @@ def moment_bundles(devices, zetas: np.ndarray) -> MomentBundle:
     grid that is not non-empty, 1-D, in [0, MAX_ZETA] and strictly increasing.
     """
     zetas = _grid(zetas)
-    stack = [_van_loan_generator(params) for params in devices]
-    if not stack:
+    if not len(devices):
         raise ValueError("moment_bundles needs at least one device")
-    generators, w, h, rate = zip(*stack)
-    blocks = np.empty((len(generators), zetas.size, 5, 5), np.result_type(*generators))
-    for dtype in dict.fromkeys(generator.dtype for generator in generators):
-        chosen = [i for i, generator in enumerate(generators) if generator.dtype == dtype]
-        blocks[chosen] = expm(np.array([generators[i] for i in chosen])[:, None], zetas)
-    h = np.array(h)
-    moments = _sandwich(blocks[..., :4, 4], np.array(w), h)
+    generators, w, h, rate = _van_loan_generators(devices)
+    real = ~generators.imag.any(axis=(1, 2))
+    blocks = np.empty((len(devices), zetas.size, 5, 5), generators.dtype)
+    for chosen, part in ((real, generators.real), (~real, generators)):
+        if chosen.any():
+            blocks[chosen] = expm(part[chosen][:, None], zetas)
+    moments = _sandwich(blocks[..., :4, 4], w, h)
     n12 = moments[..., 0, 1]
     n1, n2 = _checked_numbers(moments[..., 0, 0].real, moments[..., 1, 1].real, n12)
-    log_envelope = np.array(rate)[:, None] * zetas
+    log_envelope = rate[:, None] * zetas
     return MomentBundle(zetas, n1, n2, n12, blocks[..., :4, 0], h, log_envelope)
 
 
@@ -272,6 +277,8 @@ def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
     n12 = bundle.n12
     entries = np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]])  # (2, 2) + the bundle's axes
     moments = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
+    if not ports:  # the vacuum launch: its stimulated sandwich is all zero
+        return moments
     launched = np.diag([ports.count(0), ports.count(1)])
     return moments + _sandwich(bundle.products, launched, bundle.h)
 
@@ -482,7 +489,8 @@ def _evaluate(devices, observable, zetas, max_magnitude, ports=None):
         columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
         n1 = np.where(np.isnan(noon1), math.nan, n1)
     frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
-    raw = {name: with_envelope(bundle, values) for name, values in frame.items()}
+    envelope = np.exp(bundle.log_envelope)
+    raw = {name: values * envelope for name, values in frame.items()}
     in_range = np.isfinite(list(raw.values())).all(axis=0)
     columns.update(
         (name, np.where(raw_ok & in_range, values, math.nan)) for name, values in raw.items()

@@ -26,7 +26,8 @@ evaluation.  The module also exercises the structural identities the transfer
 matrix must satisfy on its own (determinant, composition, the degenerate
 limit, agreement with ``core.expm``, the Taylor scaling-and-squaring
 exponential, on exp(i zeta H), one zeta per sample), as array expressions
-over the samples: a NaN in one sample fails its check.
+over the samples of one broadcast ``propagator`` call per section: a NaN in one
+sample fails its check.
 
 Growing and decaying solutions are compared after dividing out the common
 envelope exp(2 beta zeta), so the reported absolute deviations stay
@@ -123,10 +124,8 @@ def _structure_checks(report: VerificationReport) -> None:
     re[index % 4 == 0] = 0.0  # pure inversion, the most used axis
     im[index % 5 == 0] = 0.0  # lossless devices must stay unitary
     ns = re + 1j * im
-    ua, ub, uab = (
-        np.array([propagator(n, zeta) for n, zeta in zip(ns, zetas)]) for zetas in (za, zb, za + zb)
-    )
-    reference = expm(np.array([1j * hamiltonian(n) for n in ns]), za)
+    ua, ub, uab = propagator(ns, np.array([za, zb, za + zb]))
+    reference = expm(1j * hamiltonian(ns), za)
     # every deviation is a NaN-propagating np.max: a NaN from one sample fails its check
     scale = np.maximum(np.maximum(np.abs(ua).max(axis=(1, 2)), np.abs(ub).max(axis=(1, 2))), 1.0)
     det = ua[:, 0, 0] * ua[:, 1, 1] - ua[:, 0, 1] * ua[:, 1, 0]
@@ -136,15 +135,15 @@ def _structure_checks(report: VerificationReport) -> None:
     lossless = ua[ns.imag == 0.0]
     worst_unitary = float(np.max(np.abs(lossless.conj().swapaxes(1, 2) @ lossless - np.eye(2))))
 
-    # At the degeneracy the closed form collapses to a polynomial in zeta,
-    # and it must approach that polynomial continuously from both regimes.
-    def off_polynomial(sign: float, zeta: float, delta: float = 0.0) -> np.ndarray:
-        limit = np.eye(2) + 1j * zeta * hamiltonian(complex(0.0, sign))
-        return np.abs(propagator(complex(0.0, sign * (1.0 + delta)), zeta) - limit)
-
-    signs = (-1.0, 1.0)
-    exact = float(np.max([off_polynomial(s, z) for s in signs for z in (0.7, 5.0)]))
-    near = float(np.max([off_polynomial(s, 5.0, d) for s in signs for d in (-1e-6, 1e-6)]))
+    # At the degeneracy the closed form collapses to a polynomial in zeta, and it must
+    # approach that polynomial continuously from both regimes: gamma = -1 and +1 on
+    # it at zeta 0.7 and 5, then at zeta 5 offset by delta = -1e-6 and +1e-6.
+    signs = np.array([-1.0, -1.0, 1.0, 1.0] * 2)
+    zetas = np.array([0.7, 5.0, 0.7, 5.0] + [5.0] * 4)
+    deltas = np.array([0.0] * 4 + [-1e-6, 1e-6] * 2)
+    limit = np.eye(2) + 1j * zetas[:, None, None] * hamiltonian(1j * signs)
+    off = np.abs(propagator(1j * (signs * (1.0 + deltas)), zetas) - limit).max(axis=(1, 2))
+    exact, near = float(np.max(off[:4])), float(np.max(off[4:]))
     report.checks += [
         Check("propagator determinant (scaled)", worst_det, PROPAGATOR_STRUCTURE_TOL),
         Check("propagator composition (scaled)", worst_semi, PROPAGATOR_STRUCTURE_TOL),

@@ -523,9 +523,7 @@ def test_verify_evaluates_one_stack_and_one_oracle_call(monkeypatch):
     assert evaluated is bundles
     marks = [0.0, 0.5, 1.0, 2.0, 5.0]
     assert len(params) == 21 and bundles.zetas.tolist() == marks
-    assert {ptdimer.observables._van_loan_generator(p)[0].dtype for p in params} == {
-        np.dtype(np.float64)
-    }
+    assert ptdimer.observables._van_loan_generators(params)[0].dtype == np.float64
     ((oracle_marks, path),) = paths
     assert oracle_marks == marks and len(path) == len(marks)
 
@@ -590,13 +588,17 @@ def test_verify_detects_a_reversed_device_stack(monkeypatch):
 
 
 def test_verify_fails_on_a_nan_structure_sample(monkeypatch, capsys):
-    # the structure checks fold their samples with np.max, which keeps a NaN: the fifth
-    # propagator call (the fifth sample's U(za)) fails each check that reads it, by name
+    # the structure checks fold their samples with np.max, which keeps a NaN: sample 4 of
+    # the first propagator call (the fifth sample's U(za)) fails each check that reads it,
+    # by name
     propagator, calls = ptdimer.verification.propagator, []
 
     def fifth_is_nan(n, zeta):
         calls.append(zeta)
-        return propagator(n, zeta) * (math.nan if len(calls) == 5 else 1.0)
+        u = propagator(n, zeta)
+        if len(calls) == 1:
+            u[0, 4] = math.nan
+        return u
 
     monkeypatch.setattr(ptdimer.verification, "propagator", fifth_is_nan)
     report = ptdimer.verification.run_verification()
@@ -661,6 +663,28 @@ def _plant_in_coincidence(term):
     return plant
 
 
+def _stimulated(bundle):
+    """S = V* V^T of each point, the matrix the coincidence's mixed terms pair with the vacuum."""
+    return ptdimer.observables._sandwich(bundle.products, np.eye(2), bundle.h)
+
+
+# The mixed stimulated-spontaneous term n1 S22 + n2 S11 + 2 Re(n12 S21) of the N00N
+# coincidence, planted wrong three ways: each term is the right term minus the defect's
+_MIXED_TERM_DEFECTS = {
+    "noon-mixed-s01-for-s10": lambda b: 2.0 * (
+        b.n12 * (_stimulated(b)[..., 1, 0] - _stimulated(b)[..., 0, 1])
+    ).real,
+    "noon-mixed-conj-n12": lambda b: 2.0 * (
+        (b.n12 - b.n12.conj()) * _stimulated(b)[..., 1, 0]
+    ).real,
+    "noon-mixed-term-dropped": lambda b: (
+        b.n1 * _stimulated(b)[..., 1, 1].real
+        + b.n2 * _stimulated(b)[..., 0, 0].real
+        + 2.0 * (b.n12 * _stimulated(b)[..., 1, 0]).real
+    ),
+}
+
+
 def _swap_pump_weights(monkeypatch):
     weights = ptdimer.observables.vacuum_pump_weights
     monkeypatch.setattr(ptdimer.observables, "vacuum_pump_weights", lambda p: weights(p)[::-1])
@@ -689,6 +713,10 @@ def _missed(item):
             id="noon-without-n12-squared",
             marks=_missed(5),
         ),
+        *(
+            pytest.param(_plant_in_coincidence(term), id=name, marks=_missed(5))
+            for name, term in _MIXED_TERM_DEFECTS.items()
+        ),
         pytest.param(
             _plant_in_columns(lambda b, c: c.update(q00=np.abs(b.n12) ** 1.999 / (b.n1 * b.n2))),
             id="q00-exponent-1.999",
@@ -713,6 +741,20 @@ def test_verify_fails_on_each_planted_defect(monkeypatch, plant):
     # function boundary; a strict xfail is a defect verify still passes
     plant(monkeypatch)
     assert not ptdimer.verification.run_verification().ok
+
+
+@pytest.mark.parametrize("name", _MIXED_TERM_DEFECTS)
+def test_mixed_term_defects_move_the_coincidence_column(monkeypatch, name):
+    # each mixed-term row of the survey is a real defect: on a pumped grid device it moves
+    # q2002 past zeta 0, by more than 1% of the coincidence, and leaves zeta 0, the only
+    # point verify reads q2002 at, exactly as it is
+    params = effective_params(preset_realization(Kind.GAIN_LOSS, -0.5))
+    zetas = ptdimer.verification.GRID_ZETAS
+    right = sample_curve(params, "q2002", zetas).data["q2002"]
+    _plant_in_coincidence(_MIXED_TERM_DEFECTS[name])(monkeypatch)
+    wrong = sample_curve(params, "q2002", zetas).data["q2002"]
+    assert wrong[0] == right[0] == -1.0
+    assert np.max(np.abs(wrong[1:] - right[1:]) / (right[1:] + 1.0)) > 0.01
 
 
 def test_sweep_past_the_float_range_exits_0_with_gap_notes(tmp_path, capsys):

@@ -120,6 +120,42 @@ def test_propagator_rejects_non_finite_index():
         propagator(complex(math.nan, 0.0), 1.0)
 
 
+def test_propagator_on_arrays_equals_each_point_alone():
+    # n and zeta broadcast: element i is propagator(ns[i], zetas[i]), bit for bit, on
+    # every regime, the degenerate point and the sinc series next to zeta 0
+    rng = np.random.default_rng(3)
+    ns = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    ns[::4], ns[1::4] = 1j * ns[::4].imag, ns[1::4].real
+    ns[2], ns[3] = 1.0j, -1.0j * (1.0 + 1e-6)
+    zetas = rng.uniform(0.0, 5.0, 40)
+    zetas[5], zetas[6] = 0.0, 1e-6
+    u = propagator(ns, zetas)
+    assert u.shape == (40, 2, 2) and u.dtype == complex
+    for n, zeta, point in zip(ns, zetas, u):
+        alone = propagator(n, zeta)
+        assert alone.shape == (2, 2) and alone.tobytes() == point.tobytes()
+    grid = propagator(ns[:, None], zetas[:3])
+    assert grid.shape == (40, 3, 2, 2)
+    assert grid[:, 0].tobytes() == propagator(ns, zetas[0]).tobytes()
+    h = hamiltonian(ns)
+    assert h.shape == (40, 2, 2)
+    assert all(np.array_equal(one, hamiltonian(n)) for n, one in zip(ns, h))
+
+
+def test_propagator_on_arrays_rejects_bad_input_as_a_scalar_does():
+    ns, zetas = np.array([0.5j, 0.3]), np.array([1.0, 2.0])
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="zeta must be finite and non-negative"):
+            propagator(ns, np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="n must be finite"):
+        propagator(np.array([0.5j, complex(math.nan, 0.0)]), zetas)
+    with pytest.raises(ValueError, match="n must be finite"):
+        hamiltonian(np.array([0.5j, math.inf]))
+    # an entry past the float range is an OverflowError, as for a scalar
+    with pytest.raises(OverflowError):
+        propagator(ns * 20.0, 100.0)
+
+
 # ---------------------------------------------------------------------------
 # propagator structure (property tests)
 

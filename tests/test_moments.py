@@ -194,6 +194,18 @@ def test_matrix_power_matches_rk4_loop(kind, gamma, zeta):
         assert np.allclose(power, loop, rtol=1e-12, atol=0.0)
 
 
+def test_squarings_formed_once_equal_matrix_power_bitwise():
+    # the oracle's powers of a stacked complex step map, from squarings formed once,
+    # equal np.linalg.matrix_power's, bit for bit: each small count, including its
+    # (p p) p short cut for 3, and the counts of verify's marks at its step
+    stack = drift_and_pump([realization_for_gamma(kind, -1.2) for kind in Kind])
+    p = ptdimer.moments._rk4_step_map(ptdimer.moments._generator(stack), 4e-4)
+    assert p.shape == (len(Kind), 5, 5) and p.dtype == complex
+    counts = list(range(41)) + [1250, 2500, 5000, 12500]
+    for count, power in zip(counts, ptdimer.moments._matrix_powers(p, counts)):
+        assert power.tobytes() == np.linalg.matrix_power(p, count).tobytes(), count
+
+
 def test_path_requires_increasing_marks():
     dp = lossless_coupler()
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from ptdimer.configurations import (
     preset_realization,
     realization_for_gamma,
 )
-from ptdimer.core import EffectiveParams, expm, propagator
+from ptdimer.core import EffectiveParams, expm, hamiltonian, propagator
 from ptdimer.moments import DriftAndPump, drift_and_pump, integrate_moments_path
 from ptdimer.observables import (
     CURVE_COLUMNS,
@@ -818,6 +818,23 @@ def test_expm_grid_point_equals_point_alone(dtype):
         assert np.abs(expm(a, zeta) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
+def test_complex_expm_is_its_real_form():
+    # a complex stack, such as verify's exp(i zeta H), goes through the real form
+    # [[Re a, -Im a], [Im a, Re a]]: its blocks bit for bit, scipy's exponential within
+    # the tolerance of the real grid test, and each point equal to itself alone
+    rng = np.random.default_rng(13)
+    ns = rng.uniform(-2.0, 2.0, 60) + 1j * rng.uniform(-2.0, 2.0, 60)
+    stack = 1j * hamiltonian(ns)
+    ts = rng.uniform(0.05, 2.5, 60)
+    together = expm(stack, ts)
+    real = expm(np.block([[stack.real, -stack.imag], [stack.imag, stack.real]]), ts)
+    assert together.tobytes() == (real[:, :2, :2] + 1j * real[:, 2:, :2]).tobytes()
+    for a, t, block in zip(stack, ts, together):
+        reference = scipy_expm(t * a)
+        assert np.abs(block - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert block.tobytes() == expm(a, t).tobytes()
+
+
 def test_expm_stack_equals_per_matrix_calls():
     rng = np.random.default_rng(11)
     stack = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2))
@@ -840,7 +857,7 @@ def test_expm_interleaved_squaring_counts_equal_per_point_calls():
     # unsorted grid with 0: squaring counts 0 .. 11, interleaved across the flattened stack
     devices = [effective_params(realization_for_gamma(Kind.GAIN_GAIN, g)) for g in (0.2, 4.0)]
     devices.append(EffectiveParams(complex(0.3, -0.25), complex(1.6, -0.65)))
-    stack = np.array([observables._van_loan_generator(params)[0] for params in devices])
+    stack = observables._van_loan_generators(devices)[0]
     grid = np.array([37.0, 0.0, 300.0, 0.4, 5.5, 120.0, 1.0, 0.05, 64.0, 12.0, 250.0, 2.2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
