@@ -14,8 +14,8 @@ Im(n2/g) = -gamma - beta,
 
 so a passive or lossy guide has weight zero, whichever layout reaches (n, n0).
 
-Single-photon and two-photon inputs add stimulated terms V* P V^T at the end
-point, P = diag(photons launched into each guide).  As H^2 = Omega^2 I,
+Each input, a row of ``LAUNCHES`` named by its key, adds stimulated terms V* P V^T
+at the end point, P = diag(photons launched into each guide).  As H^2 = Omega^2 I,
 V = e^{beta t} (c I + i s H), where x = (c, s) solves x' = B x, x(0) = (1, 0),
 with the companion matrix B = [[0, -Omega^2], [1, 0]].  So every second moment
 is one sandwich, linear in y = vec(conj(x) x^T) = (c* c, c* s, s* c, s* s):
@@ -75,6 +75,9 @@ GROWTH_GUARD_MAX = 1e12
 
 # Longest distance evaluated; past it the phase Omega zeta has too few digits left.
 MAX_ZETA = 1e8
+
+# Photons each input launches into guides 1 and 2: the diagonal of its <a_i^dag a_j>.
+LAUNCHES = {"vacuum": (0, 0), "guide 1": (1, 0), "guide 2": (0, 1), "noon": (1, 1)}
 
 # Ratio denominators below this count as zero (no spontaneous field, or zeta = 0).
 _RATIO_FLOOR = 2.0**-1000
@@ -267,25 +270,24 @@ def _checked_numbers(n1, n2, n12=0.0):
     return n1, n2
 
 
-def launch_moments(bundle: MomentBundle, ports: tuple[int, ...]) -> np.ndarray:
-    """Moment matrices <a_i^dag a_j> per grid point, one photon launched into each of ``ports``.
+def launch_moments(bundle: MomentBundle, launch: str) -> np.ndarray:
+    """Moment matrices <a_i^dag a_j> per grid point for the ``LAUNCHES`` key ``launch``.
 
     In the bundle's frame: the vacuum matrix [[n1, n12], [conj n12, n2]] plus the
-    stimulated V* P V^T, P = diag(photons launched per guide), whose entry
-    (i, j) sums conj(V_ip) V_jp over the ports p (from 0).  A stack gives (k, m, 2, 2).
+    stimulated V* P V^T, P = diag(LAUNCHES[launch]) (photons per guide), whose entry
+    (i, j) sums P_pp conj(V_ip) V_jp over the guides p.  A stack gives (k, m, 2, 2).
     """
     n12 = bundle.n12
     entries = np.array([[bundle.n1, n12], [n12.conj(), bundle.n2]])  # (2, 2) + the bundle's axes
     moments = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
-    if not ports:  # the vacuum launch: its stimulated sandwich is all zero
+    if not any(LAUNCHES[launch]):  # the vacuum launch: its stimulated sandwich is all zero
         return moments
-    launched = np.diag([ports.count(0), ports.count(1)])
-    return moments + _sandwich(bundle.products, launched, bundle.h)
+    return moments + _sandwich(bundle.products, np.diag(LAUNCHES[launch]), bundle.h)
 
 
-def _photon_numbers(bundle: MomentBundle, ports: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Photon numbers for one photon launched into each of ``ports`` (from 0), plus vacuum."""
-    moments = launch_moments(bundle, ports)
+def _photon_numbers(bundle: MomentBundle, launch: str) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers of the ``LAUNCHES`` key ``launch``, plus vacuum."""
+    moments = launch_moments(bundle, launch)
     return _checked_numbers(moments[..., 0, 0].real, moments[..., 1, 1].real)
 
 
@@ -303,7 +305,7 @@ def _noon_two_point(bundle: MomentBundle) -> np.ndarray:
     """
     y = bundle.products
     n1, n2, n12 = bundle.n1, bundle.n2, bundle.n12
-    s = _sandwich(y, np.eye(2), bundle.h)
+    s = _sandwich(y, np.diag(LAUNCHES["noon"]), bundle.h)
     pair = 4.0 * np.abs(y[..., 1]) ** 2
     spontaneous = n1 * n2 + np.abs(n12) ** 2
     mixed = n1 * s[..., 1, 1].real + n2 * s[..., 0, 0].real + 2.0 * (n12 * s[..., 1, 0]).real
@@ -363,9 +365,11 @@ def single_photon_numbers(
     Stimulated transfer e^{2 beta zeta} |U_j,port|^2 plus the spontaneous
     background; a device without gain keeps the stimulated term only.
     """
-    if port not in (1, 2):
-        raise ValueError(f"input port must be 1 or 2, got {port!r}")
-    _, point = _point_columns(params, "single", zeta, _RAW_GAPS, max_magnitude, (port - 1,))
+    try:
+        launch = {1: "guide 1", 2: "guide 2"}[port]
+    except (KeyError, TypeError):  # TypeError: an unhashable port
+        raise ValueError(f"input port must be 1 or 2, got {port!r}") from None
+    _, point = _point_columns(params, "single", zeta, _RAW_GAPS, max_magnitude, launch)
     return PhotonNumbers(point["n1"], point["n2"])
 
 
@@ -442,12 +446,13 @@ CURVE_COLUMNS: dict[str, tuple[str, ...]] = {
     "all": ("n1", "n2", "share1", "share2", "n12_re", "n12_im", "q00", "q2002"),
 }
 
-# Input ports (from 0) behind the n1 / n2 / share columns of each observable:
-# none for the vacuum, guide 1 for one photon, both guides for N00N.
-_INPUT_PORTS = dict(spont=(), q00=(), all=(), single=(0,), noon_n=(0, 1), q2002=(0, 1))
+# The launch behind the n1 / n2 / share columns of each observable.
+_CURVE_LAUNCHES = dict(
+    spont="vacuum", q00="vacuum", all="vacuum", single="guide 1", noon_n="noon", q2002="noon"
+)
 
 # Observables whose value at zeta = 0 is a 0/0: the vacuum launches (spontaneous shares, q00).
-ZERO_UNDEFINED = tuple(name for name, ports in _INPUT_PORTS.items() if not ports)
+ZERO_UNDEFINED = tuple(name for name, launch in _CURVE_LAUNCHES.items() if launch == "vacuum")
 
 
 @dataclass
@@ -466,13 +471,13 @@ class ObservableCurve:
 
 
 @np.errstate(all="ignore")  # zero denominators, the float range and bound breaks give NaN gaps
-def _evaluate(devices, observable, zetas, max_magnitude, ports=None):
+def _evaluate(devices, observable, zetas, max_magnitude, launch=None):
     """The bundle stack of ``devices``, each point's log peak magnitude, the CSV columns of
     ``observable`` and the points each ``_GAPS`` reason marks, in table order, each with a
     leading device axis: the one gap decision of grids, points and ``verify``.
 
     Every column is NaN where a bound breaks, raw columns also past the guard or the
-    float range.  ``ports`` overrides the observable's input ports.
+    float range.  ``launch`` overrides the observable's launch.
     """
     if max_magnitude is not None and not float(max_magnitude) > 0.0:
         raise ValueError(f"max_magnitude must be positive or None, got {max_magnitude!r}")
@@ -481,11 +486,11 @@ def _evaluate(devices, observable, zetas, max_magnitude, ports=None):
     exponents = np.maximum(bundle.log_envelope, 0.0)
     raw_ok = exponents <= log_guard
     names = CURVE_COLUMNS[observable]
-    ports = _INPUT_PORTS[observable] if ports is None else ports
-    n1, n2 = _photon_numbers(bundle, ports)
+    launch = _CURVE_LAUNCHES[observable] if launch is None else launch
+    n1, n2 = _photon_numbers(bundle, launch)
     columns = {}
     if "q2002" in names:  # the only column that needs the N00N numbers: their bound gaps the point
-        noon1, noon2 = (n1, n2) if ports == (0, 1) else _photon_numbers(bundle, (0, 1))
+        noon1, noon2 = (n1, n2) if launch == "noon" else _photon_numbers(bundle, "noon")
         columns["q2002"] = _ratio(_noon_two_point(bundle), noon1 * noon2) - 1.0
         n1 = np.where(np.isnan(noon1), math.nan, n1)
     frame = {"n1": n1, "n2": n2, "n12_re": bundle.n12.real, "n12_im": bundle.n12.imag}
@@ -506,14 +511,14 @@ def _evaluate(devices, observable, zetas, max_magnitude, ports=None):
     return bundle, exponents, {name: columns[name] for name in names}, masks
 
 
-def _point_columns(params, observable, zeta, reasons, max_magnitude=None, ports=None):
+def _point_columns(params, observable, zeta, reasons, max_magnitude=None, launch=None):
     """The bundle and the columns of the one-point curve [zeta] of ``observable``.
 
     Raises the point's first gap, in table order, among ``reasons``: those that
     reach the columns the caller reads.
     """
     bundle, exponents, columns, masks = _evaluate(
-        (params,), observable, [zeta], max_magnitude, ports
+        (params,), observable, [zeta], max_magnitude, launch
     )
     for reason, mask in masks.items():
         if reason in reasons and mask[0, 0]:

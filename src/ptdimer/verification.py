@@ -14,13 +14,12 @@ stack of every grid device on GRID_ZETAS.  Each section reads whole rows of
 that stack and its columns.  A point of a stack is evaluated independently of
 the others, and every device here is imaginary-n, so the stack has one dtype
 and each point equals the same point in a stack of its own, bit for bit.  The
-oracle checks read four launch states on every grid device: vacuum, one photon
-in guide 1, one photon in guide 2, and the two-photon N00N input, on the same
-marks; at zeta 0 both routes return the launch state exactly.  For each, the
-full moment matrix <a_i^dag a_j>, cross moment included, is compared with the
-oracle, which integrates every launch state of every grid device in one call
-on their stacked drift and pump; every deviation is one array expression over
-the stack.
+oracle checks read every launch of ``observables.LAUNCHES`` on every grid
+device; both routes start from diag(LAUNCHES[key]) and return it exactly at
+zeta 0.  For each, the full moment matrix <a_i^dag a_j>, cross moment
+included, is compared with the oracle, which integrates every launch of every
+grid device in one call on their stacked drift and pump; every deviation is
+one array expression over the stack.
 The correlation checks read the production q00 and q2002 columns of the same
 evaluation.  The module also exercises the structural identities the transfer
 matrix must satisfy on its own (determinant, composition, the degenerate
@@ -50,7 +49,7 @@ from .configurations import (
 )
 from .core import EffectiveParams, expm, hamiltonian, propagator
 from .moments import drift_and_pump, integrate_moments_path
-from .observables import MomentBundle, _evaluate, launch_moments, with_envelope
+from .observables import LAUNCHES, MomentBundle, _evaluate, launch_moments, with_envelope
 
 GRID_GAMMA_MAGNITUDES = (0.5, 1.0, 1.2)
 GRID_ZETAS = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -154,15 +153,11 @@ def _structure_checks(report: VerificationReport) -> None:
     ]
 
 
-# Launch states of the oracle checks: check name and the input ports (from 0)
-# that carry one photon each.  The two-photon input (|20> + |02>)/sqrt(2)
-# starts from the moment matrix diag(1, 1), so by linearity of the moment
-# equation the oracle started there gives its moment matrix too.
-_LAUNCH_STATES = (
-    ("moment oracle [{device}] vacuum", ()),
-    ("moment oracle [{device}] photon in guide 1", (0,)),
-    ("moment oracle [{device}] photon in guide 2", (1,)),
-    ("two-photon mean numbers [{device}]", (0, 1)),
+_ORACLE_CHECK_NAMES = (  # the oracle check of each launch, in ``LAUNCHES`` order
+    "moment oracle [{device}] vacuum",
+    "moment oracle [{device}] photon in guide 1",
+    "moment oracle [{device}] photon in guide 2",
+    "two-photon mean numbers [{device}]",
 )
 
 
@@ -172,24 +167,24 @@ def _oracle_checks(
     params: list[EffectiveParams],
     bundles: MomentBundle,
 ) -> None:
-    """Compare the full moment matrix of every launch state with the moment oracle.
+    """Compare the full moment matrix of every launch with the moment oracle.
 
     ``devices`` are the rows of the stack ``bundles``, with their ``params``.
-    Their oracle paths for every launch state come from one
+    Their oracle paths for every launch, from diag(LAUNCHES[key]), come from one
     ``integrate_moments_path`` call on their stacked drift and pump, on the
-    stack's marks, and the worst deviation of each device and launch state is
-    one array expression over (device, mark, launch state).
+    stack's marks, and the worst deviation of each device and launch is one
+    array expression over (device, mark, launch).
     """
-    initial = np.array([np.diag([p.count(0), p.count(1)]) for _, p in _LAUNCH_STATES])
+    initial = np.array([np.diag(photons) for photons in LAUNCHES.values()])
     paths = integrate_moments_path(initial, drift_and_pump(devices), GRID_ZETAS, step=ORACLE_STEP)
-    launched = np.stack([launch_moments(bundles, ports) for _, ports in _LAUNCH_STATES], 2)
+    launched = np.stack([launch_moments(bundles, launch) for launch in LAUNCHES], 2)
     gaps = np.abs(with_envelope(bundles, launched) - np.stack(paths, 1))
     beta = np.array([p.beta for p in params])
     frame = np.exp(-2.0 * beta[:, None] * bundles.zetas)
-    worst = np.max(gaps.max(axis=(3, 4)) * frame[..., None], axis=1)  # (device, launch state)
+    worst = np.max(gaps.max(axis=(3, 4)) * frame[..., None], axis=1)  # (device, launch)
     for realization, p, deviations in zip(devices, params, worst):
         device = f"{realization.kind.value} gamma={p.gamma:+.2f}"
-        for (name, _), deviation in zip(_LAUNCH_STATES, deviations):
+        for name, deviation in zip(_ORACLE_CHECK_NAMES, deviations, strict=True):
             report.checks.append(Check(name.format(device=device), float(deviation), ROUTE_TOL))
 
 

@@ -39,6 +39,8 @@ from ptdimer.configurations import (
 )
 from ptdimer.observables import (
     CURVE_COLUMNS,
+    LAUNCHES,
+    ZERO_UNDEFINED,
     ObservableCurve,
     asymptotic_shares,
     launch_moments,
@@ -537,8 +539,8 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
         monkeypatch
     )
     oracle = np.stack(path, 2)
-    launches = verification._LAUNCH_STATES
-    suffixes = [name.split("] ")[-1] for name, _ in launches]
+    launches = list(LAUNCHES)
+    suffixes = [name.split("] ")[-1] for name in verification._ORACLE_CHECK_NAMES]
     index = -1
     checks = [c for c in report.checks if c.name.startswith(("moment oracle", "two-photon mean"))]
     for check in checks:
@@ -547,7 +549,7 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
             index += 1
         p = devices[index]
         bundle = ptdimer.observables.moment_bundles((p,), verification.GRID_ZETAS)
-        own = with_envelope(bundle, launch_moments(bundle, launches[j][1]))[0]
+        own = with_envelope(bundle, launch_moments(bundle, launches[j]))[0]
         frame = np.exp(-2.0 * p.beta * bundle.zetas)
         deviation = float(np.max(np.abs(own - oracle[index, j]).max(axis=(1, 2)) * frame))
         assert deviation.hex() == check.deviation.hex(), check.name
@@ -568,6 +570,39 @@ def test_verify_oracle_deviations_are_each_devices_own(monkeypatch):
     anchor = float(np.max(np.abs(q + 1.0), initial=0.0))
     assert anchor.hex() == deviations["two-photon correlation anchored at -1"].hex()
     assert q.size == 21 and columns["q2002"][:, :1].tobytes() == q.tobytes()
+
+
+def test_launch_table_is_the_input_moment_matrix_on_both_routes(monkeypatch):
+    # on every verify grid device, each row of LAUNCHES is its launch's input moment
+    # matrix on both routes: the closed form at zeta 0 and the oracle started from
+    # diag(row) at mark 0 both return it exactly (the closed form's conj(n12) is a -0.0
+    # imaginary part, so equal in value, not in bytes); and the observables undefined
+    # at zeta 0 are exactly those that read the vacuum launch
+    verification, observables = ptdimer.verification, ptdimer.observables
+    tables, drift_and_pump = [], verification.drift_and_pump
+    monkeypatch.setattr(
+        verification, "drift_and_pump", lambda r: tables.append(r) or drift_and_pump(r)
+    )
+    assert verification.run_verification().ok
+    (devices,) = tables
+    params = [effective_params(r) for r in devices]
+    assert len(devices) == 21
+    initial = np.array([np.diag(photons) for photons in LAUNCHES.values()])
+    (oracle,) = verification.integrate_moments_path(
+        initial, drift_and_pump(devices), [0.0], step=verification.ORACLE_STEP
+    )
+    bundles = observables.moment_bundles(params, [0.0])
+    for j, (launch, photons) in enumerate(LAUNCHES.items()):
+        want = np.broadcast_to(np.diag(photons), (len(devices), 2, 2))
+        assert np.array_equal(launch_moments(bundles, launch)[:, 0], want), launch
+        assert oracle[:, j].tobytes() == want.astype(oracle.dtype).tobytes(), launch
+
+    vacuum = [name for name in CURVE_COLUMNS if observables._CURVE_LAUNCHES[name] == "vacuum"]
+    assert ZERO_UNDEFINED == tuple(vacuum)
+    for name in CURVE_COLUMNS:
+        *_, masks = observables._evaluate(params, name, [0.0], None)
+        gap = np.any(list(masks.values()), axis=0)
+        assert gap.all() if name in ZERO_UNDEFINED else not gap.any(), name
 
 
 def test_verify_detects_a_reversed_device_stack(monkeypatch):
@@ -665,7 +700,7 @@ def _plant_in_coincidence(term):
 
 def _stimulated(bundle):
     """S = V* V^T of each point, the matrix the coincidence's mixed terms pair with the vacuum."""
-    return ptdimer.observables._sandwich(bundle.products, np.eye(2), bundle.h)
+    return ptdimer.observables._sandwich(bundle.products, np.diag(LAUNCHES["noon"]), bundle.h)
 
 
 # The mixed stimulated-spontaneous term n1 S22 + n2 S11 + 2 Re(n12 S21) of the N00N

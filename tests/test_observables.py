@@ -30,6 +30,7 @@ from ptdimer.moments import DriftAndPump, drift_and_pump, integrate_moments_path
 from ptdimer.observables import (
     CURVE_COLUMNS,
     GROWTH_GUARD_MAX,
+    LAUNCHES,
     MAX_ZETA,
     DecayedFieldError,
     GrowthGuardError,
@@ -552,7 +553,7 @@ def test_point_functions_read_the_one_point_curve(monkeypatch):
     p = EffectiveParams(0.5j, 0.1j)
     assert vacuum_pump_weights(p)[1] > 0.0 and p.beta < 0.0
     # a curve of one photon launched into guide 2, for single_photon_numbers(port=2)
-    monkeypatch.setitem(observables._INPUT_PORTS, "single2", (1,))
+    monkeypatch.setitem(observables._CURVE_LAUNCHES, "single2", "guide 2")
     monkeypatch.setitem(observables.CURVE_COLUMNS, "single2", CURVE_COLUMNS["single"])
     raw_reasons = ("bound", "guard", "range")
     numbers = ("n1", "n2"), lambda v: (v.n1, v.n2)
@@ -616,7 +617,12 @@ def test_point_functions_read_the_one_point_curve(monkeypatch):
 
 @pytest.mark.parametrize(
     "observable, launches",
-    [("q2002", [(0, 1)]), ("noon_n", [(0, 1)]), ("all", [(), (0, 1)]), ("single", [(0,)])],
+    [
+        ("q2002", ["noon"]),
+        ("noon_n", ["noon"]),
+        ("all", ["noon", "vacuum"]),
+        ("single", ["guide 1"]),
+    ],
 )
 def test_curve_forms_each_launch_once(monkeypatch, observable, launches):
     seen = []
@@ -624,7 +630,7 @@ def test_curve_forms_each_launch_once(monkeypatch, observable, launches):
     monkeypatch.setattr(
         observables,
         "_photon_numbers",
-        lambda bundle, ports: seen.append(ports) or counted(bundle, ports),
+        lambda bundle, launch: seen.append(launch) or counted(bundle, launch),
     )
     p = params_for(Kind.GAIN_LOSS, -0.5)
     sample_curve(p, observable, np.linspace(0.1, 2.0, 5))
@@ -747,12 +753,12 @@ def test_decayed_field_transfer_matches_propagator():
     p = params_for(Kind.PASSIVE_LOSS, -0.2)
     grid = np.linspace(0.0, 250.0, 26)
     bundle = moment_bundles((p,), grid)
-    for port in (0, 1):  # no pump: the launch moments are the stimulated ones alone
-        launched = with_envelope(bundle, launch_moments(bundle, (port,)))[0]
+    for port, launch in enumerate(("guide 1", "guide 2")):  # no pump: stimulated moments alone
+        launched = with_envelope(bundle, launch_moments(bundle, launch))[0]
         for zeta, moments in zip(grid, launched):
             u = propagator(p.n, zeta)[:, port]
             want = math.exp(2.0 * p.beta * zeta) * np.outer(u.conj(), u)
-            assert np.allclose(moments, want, rtol=1e-8, atol=0.0), (port, zeta)
+            assert np.allclose(moments, want, rtol=1e-8, atol=0.0), (launch, zeta)
     curve = sample_curve(p, "single", grid)
     assert curve.gaps == []
 
@@ -902,8 +908,7 @@ _OFF_AXIS_PATTERNS = {
 @pytest.mark.parametrize("imag", _OFF_AXIS_PATTERNS.values(), ids=_OFF_AXIS_PATTERNS.keys())
 def test_detuned_guides_match_the_moment_oracle(imag):
     # Re n != 0 takes moment_bundles' complex-generator branch, which no preset reaches
-    launches = ((), (0,), (1,), (0, 1))
-    initial = np.array([np.diag([p.count(0), p.count(1)]) for p in launches])
+    initial = np.array([np.diag(photons) for photons in LAUNCHES.values()])
     marks = (1.0, 5.0, 20.0)
     for nr2 in (1.3, 1.9, 1.7, 1.2, 1.1):
         n1, n2, g = complex(1.5, imag[0]), complex(nr2, imag[1]), 1.0
@@ -915,11 +920,11 @@ def test_detuned_guides_match_the_moment_oracle(imag):
         bundle = moment_bundles((device,), marks)
         assert bundle.products.dtype == np.complex128
         oracle = np.stack(integrate_moments_path(initial, dp, marks, step=4e-4), axis=1)
-        for ports, path in zip(launches, oracle):
-            ours = with_envelope(bundle, launch_moments(bundle, ports))[0]
+        for launch, path in zip(LAUNCHES, oracle, strict=True):
+            ours = with_envelope(bundle, launch_moments(bundle, launch))[0]
             for mine, reference in zip(ours, path):
                 scale = np.abs(reference).max()
-                assert np.abs(mine - reference).max() <= 1e-7 * scale, (nr2, ports)
+                assert np.abs(mine - reference).max() <= 1e-7 * scale, (nr2, launch)
 
 
 @pytest.mark.parametrize("kind", [Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE])
@@ -966,7 +971,8 @@ def test_real_generator_matches_complex_twin(kind, magnitude, positive, zeta):
     cplx, cplx_stack = _bundle_and_stack(twin, np.array([zeta]))
     assert real_stack.dtype == np.float64 and cplx_stack.dtype == np.complex128
     pairs = [(real.products, cplx.products)]
-    pairs += [(launch_moments(real, ports), launch_moments(cplx, ports)) for ports in ((), (0,), (1,))]
+    launches = ("vacuum", "guide 1", "guide 2")
+    pairs += [(launch_moments(real, launch), launch_moments(cplx, launch)) for launch in launches]
     for ours, reference in pairs:
         assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -1010,12 +1016,11 @@ def test_stacked_columns_equal_stacks_of_one_bitwise():
     devices = [params_for(kind, -1.2) for kind in Kind] + [params_for(Kind.GAIN_GAIN, 3.0)]
     grid = np.array([0.0, 0.5, 3.0, 40.0, 300.0])  # 0/0 ratios, the guard, the float range
     stack = moment_bundles(devices, grid)
-    launches = ((), (0,), (1,), (0, 1))
-    stacked = [launch_moments(stack, ports) for ports in launches]
+    stacked = [launch_moments(stack, launch) for launch in LAUNCHES]
     for i, params in enumerate(devices):
         alone = moment_bundles((params,), grid)
-        for ports, moments in zip(launches, stacked):
-            assert moments[i].tobytes() == launch_moments(alone, ports)[0].tobytes(), (i, ports)
+        for launch, moments in zip(LAUNCHES, stacked):
+            assert moments[i].tobytes() == launch_moments(alone, launch)[0].tobytes(), (i, launch)
     for name in CURVE_COLUMNS:
         for guard in (GROWTH_GUARD_MAX, None):
             _, exponents, columns, masks = observables._evaluate(devices, name, grid, guard)
