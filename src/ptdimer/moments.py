@@ -22,15 +22,13 @@ applying the four RK4 stages to the basis vectors, and n steps are the
 matrix power P(h)^n by repeated squaring (Higham, Functions of Matrices, SIAM
 2008, ch. 4).  That is the same RK4 solution, with the same truncation error,
 in O(log n) matrix products instead of n steps.  The squarings P, P^2, P^4, ...
-are formed once per call, and each distance mark multiplies those of its
-count's set bits in the order of ``np.linalg.matrix_power``, so a mark's power
-is matrix_power's, bit for bit.  A stack of devices (drift and pump of shape
-(k, 2, 2)) is carried through the same products at once.
+are formed once per call, and each distance mark applies those of its count's
+set bits, lowest first, straight to the launch states.  A stack of devices
+(drift and pump of shape (k, 2, 2)) is carried through the same products at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,7 +54,7 @@ class DriftAndPump:
         d = np.ascontiguousarray(self.d, dtype=float)
         if m.shape != d.shape or m.shape[-2:] != (2, 2) or m.ndim not in (2, 3) or not m.size:
             raise ValueError("drift and pump must both be 2x2, or non-empty stacks of one shape")
-        if not (np.all(np.isfinite(m.view(float))) and np.all(np.isfinite(d))):
+        if not (np.isfinite(m).all() and np.isfinite(d).all()):
             raise ValueError("drift and pump must be finite")
         rates = np.diagonal(d, axis1=-2, axis2=-1)
         if np.any(d[..., 0, 1] != 0.0) or np.any(d[..., 1, 0] != 0.0) or np.any(rates < 0.0):
@@ -75,8 +73,7 @@ def drift_and_pump(realizations: DimerRealization | Sequence[DimerRealization]) 
     indices = np.array([raw_indices(r) for r in devices], dtype=complex).reshape(-1, 2)
     g = np.array([r.g for r in devices])[:, None]
     m = np.ones((len(devices), 2, 2), dtype=complex)
-    m.real[:, [0, 1], [0, 1]] = indices.real / g  # n_j / g, as Python divides by a float
-    m.imag[:, [0, 1], [0, 1]] = indices.imag / g
+    m[:, [0, 1], [0, 1]] = indices / g
     d = np.zeros(m.shape)
     d[:, [0, 1], [0, 1]] = 2.0 * np.maximum(0.0, -indices.imag) / g
     return DriftAndPump(m=m[0], d=d[0]) if one else DriftAndPump(m=m, d=d)
@@ -116,31 +113,11 @@ def _rk4_step_map(gen: np.ndarray, h: float) -> np.ndarray:
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _matrix_powers(p: np.ndarray, counts: list[int]) -> list[np.ndarray]:
-    """p to each of ``counts``, each as ``np.linalg.matrix_power`` forms it, bit for bit.
-
-    The squarings p, p^2, p^4, ... are formed once for all counts.  Each count
-    multiplies the squarings of its set bits from the lowest up, as matrix_power
-    does, except a count of 3, which matrix_power forms as (p p) p.
-    """
-    squarings = [p]
-    for _ in range(max(counts).bit_length() - 1):
-        squarings.append(squarings[-1] @ squarings[-1])
-    identity = np.broadcast_to(np.eye(p.shape[-1], dtype=p.dtype), p.shape)
-    powers = []
-    for count in counts:
-        factors = [square for bit, square in enumerate(squarings) if count >> bit & 1]
-        if count == 3:
-            factors.reverse()
-        powers.append(functools.reduce(np.matmul, factors) if factors else identity)
-    return powers
-
-
 def _validate_initial(initial: np.ndarray) -> np.ndarray:
     n0 = np.ascontiguousarray(initial, dtype=complex)
     if n0.shape[-2:] != (2, 2) or n0.ndim not in (2, 3):
         raise ValueError("initial moment matrix must be 2x2, or a stack of them")
-    if not np.all(np.isfinite(n0.view(float))):
+    if not np.isfinite(n0).all():
         raise ValueError("initial moment matrix must be finite")
     return n0
 
@@ -167,8 +144,8 @@ def integrate_moments_path(
     for a stack of devices and initial.shape for one, so one call serves every
     launch state of every device (a stacked state agrees with its own single
     call to round-off).  Each mark is integrated from zero on its own: the
-    full steps as the step map P to their count, bit for bit as
-    ``np.linalg.matrix_power`` forms it (from squarings shared by the marks),
+    squarings P, P^2, P^4, ... of the step map, shared by the marks, that make
+    up its count of full steps are applied to the launch states, lowest first,
     then the last step shortened when the mark is not a multiple of ``step``.
     So every returned state equals the call with that mark alone, bit for
     bit, and a mark of 0 returns ``initial`` exactly.  Raises OverflowError if
@@ -192,13 +169,17 @@ def integrate_moments_path(
     out: list[np.ndarray] = []
     # runaway growth surfaces as the OverflowError below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        step_map = _rk4_step_map(gen, step)
-        powers = _matrix_powers(step_map, [count for count, _ in splits])
-        for mark, (count, rem), power in zip(marks, splits, powers):
-            w = power @ w0
+        squarings = [_rk4_step_map(gen, step)]
+        for _ in range(max(count for count, _ in splits).bit_length() - 1):
+            squarings.append(squarings[-1] @ squarings[-1])
+        for mark, (count, rem) in zip(marks, splits):
+            w = np.broadcast_to(w0, gen.shape[:-2] + w0.shape).copy()
+            for bit, square in enumerate(squarings):
+                if count >> bit & 1:
+                    w = square @ w
             if rem > 0.0:
                 w = _rk4_step_map(gen, rem) @ w
-            if not np.all(np.isfinite(w.view(float))):
+            if not np.isfinite(w).all():
                 raise OverflowError(
                     f"moment integration left the representable range near zeta={mark}"
                 )

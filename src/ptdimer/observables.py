@@ -213,7 +213,7 @@ def _van_loan_generators(devices):
     # + I (x) B + d I with d = -2 |Im Omega|, and the corner e = -c, but where c < 0 the
     # corner stays 0: unpumped (W = 0), the unused integral column stays finite; pumped,
     # the moments settle to a steady state, so nothing is shifted (d = 2 beta, c = 0)
-    d = -2.0 * np.abs([params.omega.imag for params in devices])
+    d = -2.0 * np.abs(np.sqrt(omega2).imag)
     d = np.where((2.0 * beta < d) & weights.any(axis=1), 2.0 * beta, d)
     rate = 2.0 * beta - d
     generators = np.zeros((len(devices), 5, 5), dtype=b.dtype)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -194,16 +195,31 @@ def test_matrix_power_matches_rk4_loop(kind, gamma, zeta):
         assert np.allclose(power, loop, rtol=1e-12, atol=0.0)
 
 
-def test_squarings_formed_once_equal_matrix_power_bitwise():
-    # the oracle's powers of a stacked complex step map, from squarings formed once,
-    # equal np.linalg.matrix_power's, bit for bit: each small count, including its
-    # (p p) p short cut for 3, and the counts of verify's marks at its step
+def test_squarings_applied_to_launch_states_match_matrix_power():
+    # the oracle applies the squarings of a stacked complex step map to the four stacked
+    # launch states; each mark agrees with np.linalg.matrix_power's power applied to them:
+    # each small count and the counts of verify's marks at its step.  Every returned state
+    # is its own writable array, and a count of 0 returns the launch states byte for byte
+    step = 4e-4
     stack = drift_and_pump([realization_for_gamma(kind, -1.2) for kind in Kind])
-    p = ptdimer.moments._rk4_step_map(ptdimer.moments._generator(stack), 4e-4)
+    p = ptdimer.moments._rk4_step_map(ptdimer.moments._generator(stack), step)
     assert p.shape == (len(Kind), 5, 5) and p.dtype == complex
+    initial = np.array(
+        [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.5, 0.5], [0.5, 0.5]]],
+        dtype=complex,
+    )
+    w0 = np.vstack((initial.reshape(-1, 4).T, np.ones(len(initial))))
     counts = list(range(41)) + [1250, 2500, 5000, 12500]
-    for count, power in zip(counts, ptdimer.moments._matrix_powers(p, counts)):
-        assert power.tobytes() == np.linalg.matrix_power(p, count).tobytes(), count
+    states = integrate_moments_path(initial, stack, [count * step for count in counts], step)
+    for count, state in zip(counts, states):
+        w = np.linalg.matrix_power(p, count) @ w0
+        expected = np.swapaxes(w[..., :-1, :], -1, -2).reshape(state.shape)
+        scale = np.abs(expected).max()
+        assert np.abs(state - expected).max() <= 1e-14 * scale, count
+        assert state.flags.writeable and not np.shares_memory(state, initial), count
+    assert all(state.tobytes() == initial.tobytes() for state in states[0])
+    for a, b in itertools.combinations(states, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_path_requires_increasing_marks():
