@@ -13,9 +13,10 @@ byte-identical files; each figure panel is written as one such sweep.  A sweep
 reaches at most MAX_ZETA = 1e8 coupling lengths, where the phase Omega zeta still
 carries about 8 digits.  Exit codes: 0 success, 1 runtime failure (I/O, a failed
 verify, an exponential overflow), 2 usage error (an option argparse rejects, a
-bad config value, --zeta-max past MAX_ZETA, a grid too fine for its window, a
-device past the float range); a usage error prints one 'usage error:' line and
-writes no file.  ``main`` returns the code and never raises: only -h exits, with 0.
+bad config value, an --out that names no file such as "" or "sub/", --zeta-max
+past MAX_ZETA, a grid too fine for its window, a device past the float range); a
+usage error prints one 'usage error:' line and writes no file.  ``main`` returns
+the code and never raises: only -h exits, with 0.
 After the CSV is written, stderr gets one 'note: zeta=FIRST..LAST, COUNT points:
 REASON' line per run of points gapped for one reason.  The argument parser is
 built once per process and reused, so repeated in-process ``main`` calls pay for
@@ -30,6 +31,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,35 +56,14 @@ DEFAULT_FIGURE_STEPS = 300
 # 64 bytes kept), so a mistyped --steps must fail before the grid is built
 MAX_STEPS = 100_000
 
-# Bundled figure presets: observable, device rows, and the distance window.
-# The spontaneous and vacuum-correlation presets start just above zero where
-# those renormalized quantities first become defined; the single-photon and
-# two-photon presets start at zero to show the launch values.
-FIGURES: dict[str, tuple[str, tuple[Kind, ...], float, float]] = {
-    "fig2": (
-        "spont",
-        (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE),
-        0.05,
-        10.0,
-    ),
-    "fig3": (
-        "q00",
-        (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE),
-        0.05,
-        10.0,
-    ),
-    "fig4": (
-        "single",
-        (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS),
-        0.0,
-        10.0,
-    ),
-    "fig5": (
-        "q2002",
-        (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS),
-        0.0,
-        10.0,
-    ),
+# Bundled figures: observable and device rows.  A panel is the default RunSpec of one
+# device at one |gamma| and the figure's --steps, from zeta 0 where the observable is
+# defined there (it is not in ZERO_UNDEFINED), to show the launch values.
+FIGURES: dict[str, tuple[str, tuple[Kind, ...]]] = {
+    "fig2": ("spont", (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE)),
+    "fig3": ("q00", (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE)),
+    "fig4": ("single", (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS)),
+    "fig5": ("q2002", (Kind.GAIN_LOSS, Kind.GAIN_GAIN, Kind.GAIN_PASSIVE, Kind.PASSIVE_LOSS)),
 }
 
 
@@ -112,6 +93,8 @@ class RunSpec:
         self.kind = str(self.kind)
         self.observable = str(self.observable)
         self.out = str(self.out)
+        if not os.path.basename(self.out):  # "" or "sub/": pathlib would drop the slash
+            raise ValueError(f"out must name a file, got {self.out!r}")
         for name in ("gamma", "nr", "g", "zeta_min", "zeta_max", "steps"):
             value = getattr(self, name)
             if isinstance(value, bool):
@@ -195,13 +178,14 @@ def cmd_sweep(run: RunSpec) -> int:
 def cmd_figure(figure_id: str, out_dir: Path, steps: int = DEFAULT_FIGURE_STEPS) -> int:
     if figure_id not in FIGURES:
         raise UsageError(f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}")
-    observable, kinds, zeta_min, zeta_max = FIGURES[figure_id]
+    observable, kinds = FIGURES[figure_id]
+    zeta_min = RunSpec.zeta_min if observable in ZERO_UNDEFINED else 0.0
     out_dir = Path(out_dir)
     panels = [(kind, magnitude) for kind in kinds for magnitude in GAMMA_MAGNITUDES]
     for kind, magnitude in panels:
         run = RunSpec(
-            kind.value, magnitude, observable=observable, zeta_min=zeta_min, zeta_max=zeta_max,
-            steps=steps, out=out_dir / f"{figure_id}_{kind.value}_gamma{magnitude:g}.csv",
+            kind.value, magnitude, observable=observable, zeta_min=zeta_min, steps=steps,
+            out=out_dir / f"{figure_id}_{kind.value}_gamma{magnitude:g}.csv",
         )  # fmt: skip
         _write_sweep(run)
     print(f"wrote {len(panels)} panel files to {out_dir}")

@@ -206,8 +206,9 @@ def _van_loan_generators(devices):
     weights = np.array([vacuum_pump_weights(params) for params in devices])
     w = np.zeros((len(devices), 2, 2))
     w[:, [0, 1], [0, 1]] = weights
-    h = hamiltonian(np.array([params.n for params in devices]))
-    omega2 = np.array([1.0 + params.n * params.n for params in devices])
+    n = np.array([params.n for params in devices])
+    h = hamiltonian(n)
+    omega2 = 1.0 + n * n
     b = -(omega2.real if not omega2.imag.any() else omega2)  # B = [[0, b], [1, 0]]
     # G - c I for the growth rate c = 2 beta - d of the moments: L - c I is conj(B) (x) I
     # + I (x) B + d I with d = -2 |Im Omega|, and the corner e = -c, but where c < 0 the

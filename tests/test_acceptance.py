@@ -26,6 +26,7 @@ from ptdimer.configurations import (
 )
 from ptdimer.core import EffectiveParams, hamiltonian, propagator
 from ptdimer.observables import (
+    ZERO_UNDEFINED,
     q_noon,
     q_vacuum,
     sample_curve,
@@ -362,7 +363,7 @@ def test_criterion_8_figure_datasets(tmp_path):
     elapsed = time.perf_counter() - t0
 
     problems = []
-    for figure_id, (observable, kinds, _, _) in FIGURES.items():
+    for figure_id, (observable, kinds) in FIGURES.items():
         column = REPRESENTATIVE[figure_id]
         for kind in kinds:
             for magnitude in GAMMA_MAGNITUDES:
@@ -396,8 +397,7 @@ def test_criterion_8_figure_datasets(tmp_path):
                 kind="loss-loss",
                 gamma=-magnitude,
                 observable=observable,
-                zeta_min=FIGURES[figure_id][2],
-                zeta_max=FIGURES[figure_id][3],
+                zeta_min=RunSpec.zeta_min if observable in ZERO_UNDEFINED else 0.0,
                 steps=300,
                 out=str(twin),
             )

@@ -201,9 +201,13 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fields", [{"steps": 20.7}, {"gamma": True}, {"out": None}])
+@pytest.mark.parametrize(
+    "fields",
+    [{"steps": 20.7}, {"gamma": True}, {"out": None}, {"out": ""}, {"out": "sub/"}],
+)
 def test_config_rejects_mistyped_values(tmp_path, monkeypatch, capsys, fields):
-    # each would otherwise be truncated or coerced (20 rows, gamma -1, a file "None")
+    # each would otherwise be truncated or coerced (20 rows, gamma -1, a file "None"),
+    # or name no file (an I/O error on ".", a file "sub")
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "typed.json"
     config.write_text(json.dumps({"steps": 5, "out": "never.csv", **fields}))
@@ -338,10 +342,19 @@ def test_figure_panel_counts(tmp_path, figure, count):
     assert main(["figure", figure, "--out", str(tmp_path), "--steps", "12"]) == 0
     files = sorted(tmp_path.glob(f"{figure}_*.csv"))
     assert len(files) == count
+    observable = {"fig2": "spont", "fig3": "q00", "fig4": "single", "fig5": "q2002"}[figure]
+    start = [] if observable in ZERO_UNDEFINED else ["--zeta-min", "0"]
     for path in files:
         meta, header, data = read_csv(path)
         assert meta.startswith("# kind=")
         assert data.shape[0] == 12
+        # each panel is the default sweep of its device, byte for byte
+        _, kind, gamma = path.stem.split("_")
+        sweep = tmp_path / "sweep" / path.name
+        device = ["--kind", kind, "--gamma", gamma.removeprefix("gamma"), *start]
+        grid = ["--observable", observable, "--steps", "12", "--out", str(sweep)]
+        assert main(["sweep", *device, *grid]) == 0
+        assert sweep.read_bytes() == path.read_bytes()
 
 
 def test_figure_rejects_unknown_id(capsys):
